@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "comm/payload.hpp"
-#include "core/adaptive.hpp"
-#include "core/epoch_executor.hpp"
+#include "core/epoch_driver.hpp"
 #include "core/partition.hpp"
-#include "core/server.hpp"
-#include "core/worker.hpp"
-#include "data/grid.hpp"
-#include "fault/checkpoint.hpp"
-#include "fault/errors.hpp"
-#include "fault/recovery.hpp"
 #include "mf/metrics.hpp"
-#include "obs/metrics.hpp"
-#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace hcc::cluster {
@@ -117,155 +107,43 @@ ClusterReport HierarchicalHcc::simulate(const sim::DatasetShape& shape) {
 
 ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
                                      const data::RatingMatrix* test_ratings) {
-  // One scripted plan drives both the chaos transport (each node's link to
-  // the global server) and the injector (node kills/stalls/joins): a plan
-  // given on either side covers both, same rule as HccMf::train.
-  if (config_.comm.transport.kind == comm::TransportKind::kChaos) {
-    if (config_.comm.transport.plan.empty()) {
-      config_.comm.transport.plan = config_.fault.plan;
-    } else if (config_.fault.plan.empty()) {
-      config_.fault.plan = config_.comm.transport.plan;
-    }
-  }
-
-  const bool transpose = train_ratings.cols() > train_ratings.rows();
-  data::RatingMatrix matrix =
-      transpose ? train_ratings.transposed() : train_ratings;
-  data::RatingMatrix test_local;
-  if (test_ratings != nullptr && transpose) {
-    test_local = test_ratings->transposed();
-    test_ratings = &test_local;
-  }
-
-  sim::DatasetShape shape;
-  shape.name = config_.dataset_name;
-  shape.m = matrix.rows();
-  shape.n = matrix.cols();
-  shape.nnz = matrix.nnz();
-  shape.k = config_.sgd.k;
+  // The global level runs the single-node epoch loop with nodes as its
+  // workers: each node pulls Q, makes `local_epochs` passes over its slice
+  // (the staleness/communication trade-off knob) and pushes a per-item
+  // weighted delta.  Kill events address nodes and chaos transport events
+  // drive each node's link to the global server.
+  core::HccMfConfig level;
+  level.sgd = config_.sgd;
+  level.comm = config_.comm;
+  level.dataset_name = config_.dataset_name;
+  level.host_threads = config_.host_threads;
+  level.exec = config_.exec;
+  level.schedule = config_.schedule;
+  level.fault = config_.fault;
+  core::EpochDriver driver(std::move(level), config_.local_epochs);
+  data::RatingMatrix matrix = driver.orient(train_ratings, test_ratings);
+  const sim::DatasetShape& shape = driver.shape();
 
   ClusterReport report;
   report.node_shares = node_shares(shape);
-
-  fault::FaultRuntime fault_rt(config_.fault);
-  // Elastic membership engages only with a scripted plan or persisted
-  // checkpoints; otherwise this function is bit-identical to the
-  // pre-elastic trainer (all-alive mask, no checkpoint copies).
-  const bool elastic = fault_rt.active();
-
-  // Row-grid the data across nodes; each node is one cluster-level worker.
-  const auto grid =
-      data::make_grid(matrix, data::GridKind::kRow, report.node_shares);
-  // A join rebuilds the partition from scratch, so elastic runs keep the
-  // pristine matrix around.
+  // A join rebuilds the partition from scratch, so runs with a fault plan
+  // keep the pristine matrix around.
   data::RatingMatrix full;
-  if (elastic) full = matrix;
-  auto slices =
-      data::assign_slices(std::move(matrix), data::GridKind::kRow, grid);
-
-  double mean = 0.0;
-  std::size_t nnz = 0;
-  for (const auto& s : slices) {
-    for (const auto& e : s.entries()) mean += e.r;
-    nnz += s.nnz();
-  }
-  mean = nnz > 0 ? mean / static_cast<double>(nnz) : 1.0;
-
-  util::Rng rng(config_.sgd.seed);
-  mf::FactorModel model(shape.m, shape.n, shape.k);
-  model.init_random(rng, static_cast<float>(mean));
-  const std::uint32_t stripes = core::resolve_stripes(
-      config_.exec, static_cast<std::uint32_t>(shape.n), slices.size());
-  core::Server global_server(std::move(model), config_.comm, stripes);
-
-  MembershipTable members(slices.size());
-  std::vector<bool> alive(slices.size(), true);
-  std::vector<double> live_shares = report.node_shares;
-
-  std::vector<core::TrainWorker> nodes;
-  auto build_nodes = [&](std::vector<data::RatingMatrix>&& parts) {
-    nodes.clear();
-    for (std::size_t n = 0; n < parts.size(); ++n) {
-      nodes.emplace_back(static_cast<std::uint32_t>(n),
-                         config_.cluster.nodes[n].name, std::move(parts[n]),
-                         config_.comm, /*streams=*/1);
-      nodes.back().set_exec(config_.exec.mode == core::ExecMode::kParallel,
-                            config_.exec.double_buffer);
-      nodes.back().set_schedule(config_.schedule, config_.sgd.k);
-      if (elastic) {
-        nodes.back().set_fault_runtime(&fault_rt);
-        nodes.back().set_real_stalls(config_.fault.real_stalls);
-      }
-    }
-  };
-
-  // Per-item weights across the *active* nodes (same rule as the
-  // intra-node merge); recomputed after every membership change.
-  auto refresh_node_weights = [&]() {
-    std::vector<std::size_t> totals(shape.n, 0);
-    std::vector<std::vector<std::size_t>> counts(nodes.size());
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-      if (!alive[n]) continue;
-      counts[n] = nodes[n].slice().col_counts();
-      for (std::size_t i = 0; i < shape.n; ++i) totals[i] += counts[n][i];
-    }
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-      if (!alive[n]) continue;
-      std::vector<float> weights(shape.n, 0.0f);
-      for (std::size_t i = 0; i < shape.n; ++i) {
-        if (totals[i] > 0) {
-          weights[i] = static_cast<float>(counts[n][i]) /
-                       static_cast<float>(totals[i]);
-        }
-      }
-      nodes[n].set_item_weights(std::move(weights));
-    }
-  };
-
-  // Full repartition from the pristine matrix over the current active set
-  // (the join path: every node's slice may move, so rebuild them all).
-  auto repartition_full = [&]() {
-    std::vector<double> fractions = report.node_shares;
-    double sum = 0.0;
-    for (std::size_t n = 0; n < fractions.size(); ++n) {
-      if (!alive[n]) fractions[n] = 0.0;
-      sum += fractions[n];
-    }
-    for (double& f : fractions) f /= sum;
-    live_shares = fractions;
-    const auto regrid = data::make_grid(full, data::GridKind::kRow, fractions);
-    data::RatingMatrix copy = full;
-    build_nodes(
-        data::assign_slices(std::move(copy), data::GridKind::kRow, regrid));
-    refresh_node_weights();
-  };
-
-  build_nodes(std::move(slices));
-  refresh_node_weights();
-
-  std::unique_ptr<util::ThreadPool> pool;
-  if (config_.host_threads > 0) {
-    pool = std::make_unique<util::ThreadPool>(config_.host_threads);
-  }
-
-  const GlobalEpochTiming mid =
-      time_global_epoch(shape, report.node_shares, false);
-  const GlobalEpochTiming last_t =
-      time_global_epoch(shape, report.node_shares, true);
-
-  core::EpochExecutor executor(config_.exec, nodes.size());
-
-  obs::registry().gauge("sched.policy").set(
-      static_cast<double>(static_cast<int>(config_.schedule.policy)));
-  obs::registry().gauge("sched.tile_kb").set(
-      static_cast<double>(config_.schedule.tile_kb));
+  if (driver.fault_runtime().active()) full = matrix;
+  std::vector<core::EpochDriver::Slot> slots;
+  for (const auto& node : config_.cluster.nodes) slots.push_back({node.name});
+  driver.build(std::move(matrix), report.node_shares, std::move(slots));
+  MembershipTable members(config_.cluster.nodes.size());
 
   // Per-epoch records are pre-filled (the timings are precomputed
   // constants), so a post-rollback replay overwrites in place instead of
   // appending duplicates.
-  report.epochs.reserve(config_.sgd.epochs);
+  const GlobalEpochTiming mid =
+      time_global_epoch(shape, report.node_shares, false);
+  const GlobalEpochTiming last =
+      time_global_epoch(shape, report.node_shares, true);
   for (std::uint32_t e = 0; e < config_.sgd.epochs; ++e) {
-    const GlobalEpochTiming& t = (e + 1 == config_.sgd.epochs) ? last_t : mid;
+    const GlobalEpochTiming& t = (e + 1 == config_.sgd.epochs) ? last : mid;
     report.epochs.push_back(t);
     report.total_virtual_s += t.total_s;
   }
@@ -273,187 +151,61 @@ ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
     report.test_rmse.assign(config_.sgd.epochs, 0.0);
   }
 
-  float lr = config_.sgd.learn_rate;
-  fault::CheckpointStore ckpts(config_.fault.checkpoint_dir);
-  if (elastic) {
-    ckpts.save({0, lr, config_.sgd.seed, global_server.model()});
-  }
-  std::uint32_t rollbacks_done = 0;
   // Each scripted join fires exactly once per run: a rolled-back replay of
   // its epoch must not re-admit (and re-repartition) the node again.
-  std::vector<bool> join_latched(config_.fault.plan.events.size(), false);
+  const fault::FaultPlan& plan = driver.config().fault.plan;
+  std::vector<bool> join_latched(plan.events.size(), false);
 
-  std::uint32_t epoch = 0;
-  while (epoch < config_.sgd.epochs) {
-    fault_rt.injector().begin_epoch(epoch);
-
-    // Scripted joins due this epoch: re-admit the node, rebuild the
-    // partition from the pristine matrix, roll back to the last consistent
-    // checkpoint and resume from there.
+  core::EpochDriver::Hooks hooks;
+  // Scripted joins due this epoch: re-admit the node, rebuild the partition
+  // from the pristine matrix over the active set, roll back to the last
+  // consistent checkpoint and resume from there.
+  hooks.before_epoch = [&](std::uint32_t epoch) {
     bool rejoined = false;
-    for (std::size_t ei = 0; ei < config_.fault.plan.events.size(); ++ei) {
-      const fault::FaultEvent& ev = config_.fault.plan.events[ei];
+    for (std::size_t ei = 0; ei < plan.events.size(); ++ei) {
+      const fault::FaultEvent& ev = plan.events[ei];
       if (ev.kind != fault::FaultKind::kJoin || ev.epoch != epoch ||
           join_latched[ei]) {
         continue;
       }
       join_latched[ei] = true;
-      if (ev.worker >= nodes.size() || alive[ev.worker]) continue;
-      alive[ev.worker] = true;
+      if (ev.worker >= members.size() || driver.alive()[ev.worker]) continue;
+      driver.readmit(ev.worker);
       members.mark_joined(ev.worker, epoch);
       report.joined_nodes.push_back(ev.worker);
       rejoined = true;
       util::log_kv(util::LogLevel::kWarn, "cluster.join",
                    {util::kv("node", ev.worker), util::kv("epoch", epoch)});
     }
-    if (rejoined) {
-      repartition_full();
-      if (ckpts.has_checkpoint()) {
-        const fault::Checkpoint& ck = ckpts.latest();
-        global_server.model() = ck.model;
-        lr = ck.lr;
-        epoch = ck.next_epoch;
-      }
-      continue;
+    if (!rejoined) return false;
+    std::vector<double> fractions = report.node_shares;
+    double sum = 0.0;
+    for (std::size_t n = 0; n < fractions.size(); ++n) {
+      if (!driver.alive()[n]) fractions[n] = 0.0;
+      sum += fractions[n];
     }
-
-    try {
-      if (elastic) {
-        for (auto& node : nodes) {
-          node.set_stall_factor(
-              fault_rt.injector().stall_factor(node.id(), epoch));
-        }
-      }
-      // One node's global epoch: pull, `local_epochs` full passes over the
-      // node's slice between global syncs (the staleness/communication
-      // trade-off knob), push.
-      auto node_pipeline = [&](core::TrainWorker& node) {
-        node.prepare_epoch();
-        node.pull(global_server);
-        for (std::uint32_t le = 0; le < config_.local_epochs; ++le) {
-          node.compute_chunk(global_server, 0, lr, config_.sgd.reg_p,
-                             config_.sgd.reg_q, pool.get());
-        }
-        node.push(global_server);
-      };
-      if (executor.mode() == core::ExecMode::kParallel &&
-          config_.exec.steal && config_.local_epochs == 1) {
-        // Work stealing across nodes: run_epoch's steal branch chunk-queues
-        // each node's slice and lets drained nodes help the stragglers.
-        // Only the single-local-epoch shape maps onto one chunk drain per
-        // global epoch; with local_epochs > 1 the repeated passes keep the
-        // explicit pipeline below.
-        executor.run_epoch(nodes, alive, global_server, lr,
-                           config_.sgd.reg_p, config_.sgd.reg_q, pool.get());
-      } else if (executor.mode() == core::ExecMode::kParallel) {
-        // Cluster nodes really do work concurrently; run each node's whole
-        // pipeline on its own executor thread against the striped server.
-        executor.run_parallel(alive,
-                              [&](std::size_t n) { node_pipeline(nodes[n]); });
-      } else {
-        // Legacy order: all pulls, all local trainings, all pushes.
-        for (std::size_t n = 0; n < nodes.size(); ++n) {
-          if (alive[n]) nodes[n].prepare_epoch();
-        }
-        for (std::size_t n = 0; n < nodes.size(); ++n) {
-          if (alive[n]) nodes[n].pull(global_server);
-        }
-        for (std::size_t n = 0; n < nodes.size(); ++n) {
-          if (!alive[n]) continue;
-          for (std::uint32_t le = 0; le < config_.local_epochs; ++le) {
-            nodes[n].compute_chunk(global_server, 0, lr, config_.sgd.reg_p,
-                                   config_.sgd.reg_q, pool.get());
-          }
-        }
-        for (std::size_t n = 0; n < nodes.size(); ++n) {
-          if (alive[n]) nodes[n].push(global_server);
-        }
-      }
-      lr *= config_.sgd.lr_decay;
-
-      if (config_.schedule.policy != data::SchedulePolicy::kAsIs) {
-        // Harvested on the coordinator thread after the barrier (same rule
-        // as HccMf): never read ScheduleStats from the node threads.
-        double tiles = 0.0;
-        double reorder_ms = 0.0;
-        for (const auto& node : nodes) {
-          tiles += static_cast<double>(node.schedule_stats().tiles);
-          reorder_ms += node.schedule_stats().reorder_ms;
-        }
-        obs::registry().gauge("sched.tiles").set(tiles);
-        obs::registry().gauge("sched.reorder_ms").set(reorder_ms);
-      }
-
-      if (test_ratings != nullptr) {
-        report.test_rmse[epoch] =
-            mf::rmse(global_server.model(), *test_ratings);
-      }
-      ++epoch;
-      if (elastic && epoch % config_.fault.checkpoint_every == 0) {
-        ckpts.save({epoch, lr, config_.sgd.seed, global_server.model()});
-      }
-    } catch (const fault::WorkerFault& dead) {
-      // Node death (scripted kill or a link declared dead by the session
-      // layer): hand its rows to the survivors, roll the global model back
-      // to the last consistent checkpoint and resume degraded — the
-      // single-node dead-worker path, one level up.
-      util::Stopwatch watch;
-      const std::uint32_t victim = dead.worker();
-      for (auto& node : nodes) {
-        (void)node.take_measured();
-        (void)node.take_computed();
-      }
-      if (victim >= nodes.size() || !alive[victim] ||
-          !ckpts.has_checkpoint() || members.active_count() <= 1) {
-        throw;  // nothing left to degrade to
-      }
-      alive[victim] = false;
-      members.mark_dead(victim, epoch);
-      report.dead_nodes.push_back(victim);
-      ++report.recoveries;
-      live_shares = core::redistribute_dead_share(live_shares, victim);
-      const auto batches = fault::split_entries_by_shares(
-          nodes[victim].slice(), live_shares);
-      for (std::size_t n = 0; n < nodes.size(); ++n) {
-        if (n != victim && !batches[n].empty()) {
-          nodes[n].absorb_entries(batches[n]);
-        }
-      }
-      refresh_node_weights();
-      const fault::Checkpoint& ck = ckpts.latest();
-      global_server.model() = ck.model;
-      lr = ck.lr;
-      epoch = ck.next_epoch;
-      fault_rt.count_recovery(watch.seconds());
-      util::log_kv(util::LogLevel::kWarn, "cluster.recovery",
-                   {util::kv("node", victim), util::kv("resume_epoch", epoch),
-                    util::kv("wall_s", watch.seconds())});
-    } catch (const fault::DivergenceError& div) {
-      // Divergence guard: rewind with a halved learning rate (persisted
-      // via the re-saved checkpoint), bounded by max_rollbacks.
-      for (auto& node : nodes) {
-        (void)node.take_measured();
-        (void)node.take_computed();
-      }
-      if (rollbacks_done >= config_.fault.max_rollbacks ||
-          !ckpts.has_checkpoint()) {
-        throw fault::TrainingDivergedError(rollbacks_done);
-      }
-      ++rollbacks_done;
-      const fault::Checkpoint& ck = ckpts.latest();
-      global_server.model() = ck.model;
-      lr = ck.lr * 0.5f;
-      epoch = ck.next_epoch;
-      ckpts.save({epoch, lr, config_.sgd.seed, global_server.model()});
-      fault_rt.count_rollback();
-      util::log_kv(util::LogLevel::kWarn, "cluster.rollback",
-                   {util::kv("node", div.worker()),
-                    util::kv("resume_epoch", epoch), util::kv("lr", lr)});
+    for (double& f : fractions) f /= sum;
+    driver.repartition(full, std::move(fractions));
+    return true;
+  };
+  hooks.epoch = [&](std::uint32_t epoch) {
+    driver.step();
+    if (test_ratings != nullptr) {
+      report.test_rmse[epoch] =
+          mf::rmse(driver.server().model(), *test_ratings);
     }
-  }
+  };
+  hooks.worker_lost = [&](std::uint32_t node, std::uint32_t epoch) {
+    members.mark_dead(node, epoch);
+  };
+  driver.run(hooks);
+
+  core::Server& global_server = driver.server();
   if (comm::effective_codec(config_.comm) != comm::CodecKind::kFp32) {
     global_server.roundtrip_p_through_codec();
   }
+  report.dead_nodes = driver.dead_workers();
+  report.recoveries = driver.fault_runtime().recoveries();
 
   const double updates = static_cast<double>(shape.nnz) *
                          config_.local_epochs * config_.sgd.epochs;

@@ -15,7 +15,8 @@
 //
 // Functionally each node behaves exactly like one HCC worker against the
 // global server (pull Q, train the node's slice, push a per-item-weighted
-// delta), so the functional path reuses core::Server / core::TrainWorker.
+// delta), so train() runs HccMf's epoch loop (core::EpochDriver) with the
+// nodes as its workers, each making `local_epochs` passes per compute.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +52,8 @@ struct HierarchicalConfig {
   /// address *nodes*, `join:w<N>@e<E>` re-admits one, chaos transport
   /// events drive each node's link to the global server, and node death
   /// (kill or exhausted link) triggers repartition + checkpoint rollback.
-  /// Defaults keep the trainer bit-identical to the pre-elastic behavior.
+  /// The divergence guard rolls back with a halved rate, plan or no plan.
+  /// Defaults keep a healthy run bit-identical to the pre-elastic trainer.
   fault::FaultOptions fault;
 };
 

@@ -10,8 +10,8 @@
 // counters) CI smoke checks read.
 //
 // The table is bookkeeping only — the *mechanics* of a transition (slice
-// repartition, checkpoint rollback, worker rebuild) stay in the trainer,
-// which already owns them for the single-node dead-worker path.
+// repartition, checkpoint rollback, worker rebuild) live in the epoch
+// driver (core/epoch_driver.hpp), shared with the single-node trainer.
 #pragma once
 
 #include <cstddef>

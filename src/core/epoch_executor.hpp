@@ -15,8 +15,8 @@
 //              shape).  Workers join at an epoch barrier; exceptions
 //              (fault::WorkerFault, fault::DivergenceError) are captured
 //              per thread and the highest-priority one is rethrown at the
-//              barrier, so HccMf::train's recovery/rollback paths work
-//              unchanged.
+//              barrier, so the epoch driver's recovery/rollback paths
+//              (core/epoch_driver.hpp) work unchanged.
 //
 // Under kParallel the Server's Q is partitioned into row-range stripes with
 // per-stripe mutexes (see core/server.hpp) so merges from different workers
@@ -118,8 +118,8 @@ class EpochExecutor {
                  float reg_p, float reg_q, util::ThreadPool* pool);
 
   /// The generic barrier primitive behind kParallel (public for tests and
-  /// for callers with non-TrainWorker work units, e.g. the cluster layer's
-  /// node pipelines): runs fn(i) for every i with alive[i] on worker i's
+  /// for callers that wrap each worker's pipeline, e.g. to time it): runs
+  /// fn(i) for every i with alive[i] on worker i's
   /// dedicated thread and blocks until all checked in.  Exceptions are
   /// captured per worker; after the barrier the highest-priority one is
   /// rethrown — fault::WorkerFault outranks fault::DivergenceError

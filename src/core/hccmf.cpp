@@ -2,19 +2,15 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "data/grid.hpp"
-#include "fault/checkpoint.hpp"
-#include "fault/errors.hpp"
+#include "core/epoch_driver.hpp"
 #include "fault/recovery.hpp"
 #include "mf/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "serve/metrics.hpp"
-#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace hcc::core {
@@ -167,16 +163,6 @@ HccMf::HccMf(HccMfConfig config) : config_(std::move(config)) {
   }
 }
 
-sim::DatasetShape HccMf::shape_of(const data::RatingMatrix& m) const {
-  sim::DatasetShape shape;
-  shape.name = config_.dataset_name;
-  shape.m = m.rows();
-  shape.n = m.cols();
-  shape.nnz = m.nnz();
-  shape.k = config_.sgd.k;
-  return shape;
-}
-
 Plan HccMf::plan_for(const sim::DatasetShape& shape) const {
   DataManager manager(config_.platform, shape, config_.comm, config_.manager);
   return manager.plan(config_.partition);
@@ -276,58 +262,24 @@ TrainReport HccMf::simulate(const sim::DatasetShape& shape) {
 TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
                          const data::RatingMatrix* test_ratings) {
   validate_or_throw(config_);
-  // A chaos link and the fault injector run one schedule: whichever side
-  // was configured feeds the other, so the wire faults, the epoch cursor
-  // and the recovery machinery all see the same plan.
-  if (config_.comm.transport.kind == comm::TransportKind::kChaos) {
-    if (config_.comm.transport.plan.empty()) {
-      config_.comm.transport.plan = config_.fault.plan;
-    } else if (config_.fault.plan.empty()) {
-      config_.fault.plan = config_.comm.transport.plan;
-    }
-  }
-  // Column-grid case: transpose so the rest of the pipeline is always
-  // row-grid ("Transmitting P only" is Q-only on the transpose).
-  const bool transpose = train_ratings.cols() > train_ratings.rows();
-  data::RatingMatrix matrix =
-      transpose ? train_ratings.transposed() : train_ratings;
-  data::RatingMatrix test_local;
-  if (test_ratings != nullptr && transpose) {
-    test_local = test_ratings->transposed();
-    test_ratings = &test_local;
-  }
-
-  const sim::DatasetShape shape = shape_of(matrix);
+  EpochDriver driver(config_);
+  data::RatingMatrix matrix = driver.orient(train_ratings, test_ratings);
+  const sim::DatasetShape& shape = driver.shape();
   DataManager manager(config_.platform, shape, config_.comm, config_.manager);
 
   TrainReport report;
   report.plan = manager.plan(config_.partition);
   HCC_LOG_INFO() << "HCC-MF plan: " << report.plan.explanation;
 
-  // Step 2-3 of Figure 4: grid the data, hand each worker its slice.
-  const auto grid =
-      data::make_grid(matrix, data::GridKind::kRow, report.plan.shares);
-  auto slices =
-      data::assign_slices(std::move(matrix), data::GridKind::kRow, grid);
-
-  // Mean rating for model init.
-  double mean = 0.0;
-  std::size_t nnz = 0;
-  for (const auto& s : slices) {
-    for (const auto& e : s.entries()) mean += e.r;
-    nnz += s.nnz();
+  std::vector<EpochDriver::Slot> slots;
+  for (std::size_t i = 0; i < report.plan.shares.size(); ++i) {
+    const auto& device = config_.platform.workers[i];
+    slots.push_back(
+        {device.name, comm::effective_streams(config_.comm, device)});
   }
-  mean = nnz > 0 ? mean / static_cast<double>(nnz) : 1.0;
-
-  util::Rng rng(config_.sgd.seed);
-  mf::FactorModel model(shape.m, shape.n, shape.k);
-  model.init_random(rng, static_cast<float>(mean));
-  // Stripe count: always 1 under kSerial (the legacy single-lock merge,
-  // bit-identical order); under kParallel the configured/auto count.
-  const std::uint32_t stripes =
-      resolve_stripes(config_.exec, static_cast<std::uint32_t>(shape.n),
-                      slices.size());
-  Server server(std::move(model), config_.comm, stripes);
+  driver.build(std::move(matrix), report.plan.shares, std::move(slots));
+  Server& server = driver.server();
+  fault::FaultRuntime& fault_rt = driver.fault_runtime();
   // Serving hook: snapshots publish at the epoch barrier below, where the
   // workers are parked and every factor row is quiescent.
   const bool publishing =
@@ -337,67 +289,6 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
   }
   std::uint32_t last_publish_epoch = 0;
 
-  // Fault tolerance: with no plan and no checkpoint dir the runtime is
-  // inert — no checksums, no extra wire bytes, no injections — and the
-  // training trajectory is bit-identical to a build without it.
-  fault::FaultRuntime fault_rt(config_.fault);
-
-  const bool parallel = config_.exec.mode == ExecMode::kParallel;
-  std::vector<TrainWorker> workers;
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    const auto& device = config_.platform.workers[i];
-    const std::uint32_t streams =
-        comm::effective_streams(config_.comm, device);
-    workers.emplace_back(static_cast<std::uint32_t>(i), device.name,
-                         std::move(slices[i]), config_.comm, streams);
-    workers.back().set_fault_runtime(&fault_rt);
-    workers.back().set_exec(parallel, config_.exec.double_buffer);
-    workers.back().set_schedule(config_.schedule, config_.sgd.k);
-    workers.back().set_real_stalls(config_.fault.real_stalls);
-  }
-  obs::registry().gauge("exec.mode").set(parallel ? 1.0 : 0.0);
-  obs::registry().gauge("exec.stripes").set(static_cast<double>(stripes));
-  obs::registry().gauge("exec.steal").set(config_.exec.steal ? 1.0 : 0.0);
-  obs::registry().gauge("sched.policy").set(
-      static_cast<double>(static_cast<int>(config_.schedule.policy)));
-  obs::registry().gauge("sched.tile_kb").set(
-      static_cast<double>(config_.schedule.tile_kb));
-
-  std::vector<bool> alive(workers.size(), true);
-
-  // Per-item merge weights: worker w's fraction of each item's ratings.
-  // Items rated inside a single worker's slice merge at weight 1 (the
-  // serial update, exactly); contested items combine proportionally.
-  // Recomputed after a degraded-mode repartition (dead workers excluded).
-  auto refresh_item_weights = [&]() {
-    std::vector<std::size_t> item_totals(shape.n, 0);
-    std::vector<std::vector<std::size_t>> item_counts(workers.size());
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      if (!alive[w]) continue;
-      item_counts[w] = workers[w].slice().col_counts();
-      for (std::size_t i = 0; i < shape.n; ++i) {
-        item_totals[i] += item_counts[w][i];
-      }
-    }
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      if (!alive[w]) continue;
-      std::vector<float> weights(shape.n, 0.0f);
-      for (std::size_t item = 0; item < shape.n; ++item) {
-        if (item_totals[item] > 0) {
-          weights[item] = static_cast<float>(item_counts[w][item]) /
-                          static_cast<float>(item_totals[item]);
-        }
-      }
-      workers[w].set_item_weights(std::move(weights));
-    }
-  };
-  refresh_item_weights();
-
-  std::unique_ptr<util::ThreadPool> pool;
-  if (config_.host_threads > 0) {
-    pool = std::make_unique<util::ThreadPool>(config_.host_threads);
-  }
-
   // Timing runs alongside the functional loop but is fully decoupled.
   accumulate_timing(report, manager, report.plan, &fault_rt.injector());
 
@@ -405,242 +296,79 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
       comm::effective_codec(config_.comm) != comm::CodecKind::kFp32 &&
       comm::effective_mode(config_.comm, shape) == comm::PayloadMode::kPQ;
 
-  float lr = config_.sgd.learn_rate;
-  double prev_sync_s = 0.0;
-  double sched_reorder_ms_total = 0.0;  ///< cumulative across epochs
-
-  // Checkpoints back both the divergence guard and worker-death recovery.
-  // The copy happens outside the instrumented phase spans, so fault-free
-  // epoch reports are unaffected.
-  fault::CheckpointStore ckpts(config_.fault.checkpoint_dir);
-  const bool checkpointing =
-      fault_rt.active() || config_.fault.divergence_guard;
-  if (checkpointing) {
-    ckpts.save({0, lr, config_.sgd.seed, server.model()});
-  }
-  std::vector<double> live_shares = report.plan.shares;
-  std::uint32_t rollbacks_done = 0;
-
-  // One executor serves the whole run; under kParallel its per-worker
-  // threads spawn on the first epoch and park between epochs.
-  EpochExecutor executor(config_.exec, workers.size());
-
-  std::uint32_t epoch = 0;
-  while (epoch < config_.sgd.epochs) {
-    fault_rt.injector().begin_epoch(epoch);
+  EpochDriver::Hooks hooks;
+  hooks.epoch = [&](std::uint32_t epoch) {
     const std::uint64_t injected_before = fault_rt.injector().injected();
     const std::uint64_t retries_before = fault_rt.retries();
-    try {
-      obs::ScopedSpan epoch_span("epoch " + std::to_string(epoch),
-                                 obs::kEpochCategory);
-      if (fault_rt.active()) {
-        for (auto& w : workers) {
-          w.set_stall_factor(
-              fault_rt.injector().stall_factor(w.id(), epoch));
-        }
-      }
-      // pull -> compute -> push, chunked per worker by its stream depth
-      // (Figure 6's pipelines; chunk boundaries act as the async syncs).
-      // kSerial interleaves the phases on this thread exactly as before;
-      // kParallel runs each worker's whole pipeline on its own executor
-      // thread and rethrows any captured fault here at the barrier, so the
-      // recovery paths below are shared by both modes.
-      executor.run_epoch(workers, alive, server, lr, config_.sgd.reg_p,
-                         config_.sgd.reg_q, pool.get());
-      if (quantizing_pq_each_epoch) server.roundtrip_p_through_codec();
-      lr *= config_.sgd.lr_decay;
+    const double sync_before = server.measured_sync_s();
+    obs::ScopedSpan epoch_span("epoch " + std::to_string(epoch),
+                               obs::kEpochCategory);
+    const std::vector<obs::PhaseTimes> measured = driver.step();
+    if (quantizing_pq_each_epoch) server.roundtrip_p_through_codec();
 
-      // Harvest the instrumented wall-clock phase times into the same
-      // EpochTiming shape the sim layer renders (CSV / Chrome trace).
-      EpochReport& er = report.epochs[epoch];
-      er.measured.workers.assign(workers.size(), {});
-      std::vector<obs::PhaseTimes> measured(workers.size());
-      // Schedule observability, aggregated on this (main) thread so the
-      // gauges see no concurrent read-modify-write: occupied tiles across
-      // workers, cumulative reorder cost, and the effective bandwidth each
-      // worker sustained — Eq. 2's B_i solved from the measured compute
-      // time (the quantity the cache-aware schedule exists to raise).
-      double sched_tiles = 0.0;
-      double min_gbps = 0.0;
-      double max_gbps = 0.0;
-      double sum_gbps = 0.0;
-      std::size_t gbps_n = 0;
-      double max_compute = 0.0;
-      double sum_compute = 0.0;
-      std::size_t compute_n = 0;
-      for (std::size_t w = 0; w < workers.size(); ++w) {
-        const obs::PhaseTimes t = workers[w].take_measured();
-        // Under work stealing a worker's throughput is measured over what
-        // it actually computed (own chunks + steals), not what the grid
-        // assigned it; without stealing the two are identical.
-        const std::size_t done = workers[w].take_computed();
-        measured[w] = t;
-        if (alive[w] && t.compute_s > 0.0 && done > 0) {
-          const double bytes =
-              static_cast<double>(done) * (16.0 * shape.k + 4.0);
-          const double gbps = bytes / t.compute_s / 1e9;
-          obs::registry()
-              .gauge("worker" + std::to_string(w) + ".effective_gbps")
-              .set(gbps);
-          min_gbps = gbps_n == 0 ? gbps : std::min(min_gbps, gbps);
-          max_gbps = std::max(max_gbps, gbps);
-          sum_gbps += gbps;
-          ++gbps_n;
-        }
-        if (alive[w] && t.compute_s > 0.0) {
-          max_compute = std::max(max_compute, t.compute_s);
-          sum_compute += t.compute_s;
-          ++compute_n;
-        }
-        const data::ScheduleStats& ss = workers[w].schedule_stats();
-        sched_tiles += static_cast<double>(ss.tiles);
-        sched_reorder_ms_total += ss.reorder_ms;
-        er.measured.workers[w].pull_s = t.pull_s;
-        er.measured.workers[w].compute_s = t.compute_s;
-        er.measured.workers[w].push_s = t.push_s;
-        er.measured.workers[w].sync_s = t.sync_s;
-        util::log_kv(util::LogLevel::kDebug, "epoch_timing",
-                     {util::kv("epoch", epoch),
-                      util::kv("worker", static_cast<std::uint32_t>(w)),
-                      util::kv("pull_s", t.pull_s),
-                      util::kv("compute_s", t.compute_s),
-                      util::kv("push_s", t.push_s),
-                      util::kv("sync_s", t.sync_s)});
-      }
-      obs::registry().gauge("sched.tiles").set(sched_tiles);
-      obs::registry().gauge("sched.reorder_ms").set(sched_reorder_ms_total);
-      // Min/mean/max across the alive workers — the spread *is* the
-      // imbalance signal stealing and DP1 exist to close.  The unsuffixed
-      // gauge keeps its historical max semantics.
-      obs::registry().gauge("sched.effective_gbps").set(max_gbps);
-      obs::registry().gauge("sched.effective_gbps_min").set(min_gbps);
-      obs::registry()
-          .gauge("sched.effective_gbps_mean")
-          .set(gbps_n > 0 ? sum_gbps / static_cast<double>(gbps_n) : 0.0);
-      obs::registry().gauge("sched.effective_gbps_max").set(max_gbps);
-      // Slowest worker's compute time over the mean: 1.0 is perfectly
-      // balanced, the straggler's stall factor when one worker lags.
-      obs::registry()
-          .gauge("sched.imbalance")
-          .set(compute_n > 0 && sum_compute > 0.0
-                   ? max_compute /
-                         (sum_compute / static_cast<double>(compute_n))
-                   : 0.0);
-      er.measured.server_busy_s = server.measured_sync_s() - prev_sync_s;
-      prev_sync_s = server.measured_sync_s();
-      er.measured.epoch_s = epoch_span.stop();
-      er.fault_injected = static_cast<std::uint32_t>(
-          fault_rt.injector().injected() - injected_before);
-      er.fault_retries =
-          static_cast<std::uint32_t>(fault_rt.retries() - retries_before);
-
-      // Deadline detection: measured wall clock vs the Eq. 1-5 prediction
-      // for the live (possibly degraded) plan, median-normalized across
-      // the surviving workers.
-      if (fault_rt.active()) {
-        Plan live_plan = report.plan;
-        live_plan.shares = live_shares;
-        const sim::EpochConfig cfg = manager.epoch_config(
-            live_plan, epoch + 1 == config_.sgd.epochs);
-        er.stragglers.clear();
-        const auto mask = fault::straggler_mask(
-            measured, predicted_phases(cfg), config_.fault.deadline_factor,
-            alive);
-        for (std::size_t w = 0; w < mask.size(); ++w) {
-          if (mask[w]) er.stragglers.push_back(static_cast<std::uint32_t>(w));
-        }
-        if (!er.stragglers.empty()) {
-          fault_rt.count_stragglers(er.stragglers.size());
-          util::log_kv(
-              util::LogLevel::kWarn, "fault.stragglers",
-              {util::kv("epoch", epoch),
-               util::kv("count",
-                        static_cast<std::uint64_t>(er.stragglers.size()))});
-        }
-      }
-
-      if (test_ratings != nullptr && config_.evaluate_each_epoch) {
-        er.test_rmse = mf::rmse(server.model(), *test_ratings);
-      }
-      ++epoch;
-      if (checkpointing && epoch % config_.fault.checkpoint_every == 0) {
-        ckpts.save({epoch, lr, config_.sgd.seed, server.model()});
-      }
-      // Publish at the cadence boundary (the final epoch's snapshot waits
-      // for the closing P roundtrip below so it matches the delivered
-      // model); queries on earlier snapshots keep their own references.
-      if (publishing) {
-        if (epoch % config_.publish_every == 0 &&
-            epoch < config_.sgd.epochs) {
-          server.publish_snapshot(epoch);
-          last_publish_epoch = epoch;
-        }
-        // Rollback can rewind `epoch` behind the last publish; age 0 then.
-        serve::serve_metrics().snapshot_age_epochs->set(
-            epoch > last_publish_epoch
-                ? static_cast<double>(epoch - last_publish_epoch)
-                : 0.0);
-      }
-    } catch (const fault::WorkerFault& dead) {
-      // Degraded-mode recovery: mark the worker dead, hand its rows to the
-      // survivors (DP1's multiplicative compensation, at row granularity),
-      // roll the model back to the last consistent checkpoint and resume.
-      obs::ScopedSpan rec_span("fault recovery", obs::kEpochCategory);
-      util::Stopwatch watch;
-      const std::uint32_t victim = dead.worker();
-      for (auto& w : workers) {
-        (void)w.take_measured();
-        (void)w.take_computed();
-      }
-      if (victim >= workers.size() || !alive[victim] ||
-          !ckpts.has_checkpoint()) {
-        throw;  // nothing left to degrade to
-      }
-      alive[victim] = false;
-      report.fault.dead_workers.push_back(victim);
-      live_shares = redistribute_dead_share(live_shares, victim);
-      const auto batches = fault::split_entries_by_shares(
-          workers[victim].slice(), live_shares);
-      for (std::size_t w = 0; w < workers.size(); ++w) {
-        if (w != victim && !batches[w].empty()) {
-          workers[w].absorb_entries(batches[w]);
-        }
-      }
-      refresh_item_weights();
-      const fault::Checkpoint& ck = ckpts.latest();
-      server.model() = ck.model;
-      lr = ck.lr;
-      epoch = ck.next_epoch;
-      prev_sync_s = server.measured_sync_s();
-      fault_rt.count_recovery(watch.seconds());
-      util::log_kv(util::LogLevel::kWarn, "fault.recovery",
-                   {util::kv("worker", victim),
-                    util::kv("resume_epoch", epoch),
-                    util::kv("wall_s", watch.seconds())});
-    } catch (const fault::DivergenceError& div) {
-      // Divergence guard: rewind to the checkpoint with a halved learning
-      // rate; the halving persists via the re-saved checkpoint.
-      for (auto& w : workers) {
-        (void)w.take_measured();
-        (void)w.take_computed();
-      }
-      if (rollbacks_done >= config_.fault.max_rollbacks ||
-          !ckpts.has_checkpoint()) {
-        throw fault::TrainingDivergedError(rollbacks_done);
-      }
-      ++rollbacks_done;
-      const fault::Checkpoint& ck = ckpts.latest();
-      server.model() = ck.model;
-      lr = ck.lr * 0.5f;
-      epoch = ck.next_epoch;
-      ckpts.save({epoch, lr, config_.sgd.seed, server.model()});
-      prev_sync_s = server.measured_sync_s();
-      fault_rt.count_rollback();
-      util::log_kv(util::LogLevel::kWarn, "fault.rollback",
-                   {util::kv("worker", div.worker()),
-                    util::kv("resume_epoch", epoch), util::kv("lr", lr)});
+    // The instrumented wall-clock phase times, in the same EpochTiming
+    // shape the sim layer renders (CSV / Chrome trace).
+    EpochReport& er = report.epochs[epoch];
+    er.measured.workers.assign(measured.size(), {});
+    for (std::size_t w = 0; w < measured.size(); ++w) {
+      er.measured.workers[w].pull_s = measured[w].pull_s;
+      er.measured.workers[w].compute_s = measured[w].compute_s;
+      er.measured.workers[w].push_s = measured[w].push_s;
+      er.measured.workers[w].sync_s = measured[w].sync_s;
     }
-  }
+    er.measured.server_busy_s = server.measured_sync_s() - sync_before;
+    er.measured.epoch_s = epoch_span.stop();
+    er.fault_injected = static_cast<std::uint32_t>(
+        fault_rt.injector().injected() - injected_before);
+    er.fault_retries =
+        static_cast<std::uint32_t>(fault_rt.retries() - retries_before);
+
+    // Deadline detection: measured wall clock vs the Eq. 1-5 prediction
+    // for the live (possibly degraded) plan, median-normalized across the
+    // surviving workers.
+    if (fault_rt.active()) {
+      Plan live_plan = report.plan;
+      live_plan.shares = driver.live_shares();
+      const sim::EpochConfig cfg =
+          manager.epoch_config(live_plan, epoch + 1 == config_.sgd.epochs);
+      er.stragglers.clear();
+      const auto mask =
+          fault::straggler_mask(measured, predicted_phases(cfg),
+                                config_.fault.deadline_factor, driver.alive());
+      for (std::size_t w = 0; w < mask.size(); ++w) {
+        if (mask[w]) er.stragglers.push_back(static_cast<std::uint32_t>(w));
+      }
+      if (!er.stragglers.empty()) {
+        fault_rt.count_stragglers(er.stragglers.size());
+        util::log_kv(
+            util::LogLevel::kWarn, "fault.stragglers",
+            {util::kv("epoch", epoch),
+             util::kv("count",
+                      static_cast<std::uint64_t>(er.stragglers.size()))});
+      }
+    }
+
+    if (test_ratings != nullptr && config_.evaluate_each_epoch) {
+      er.test_rmse = mf::rmse(server.model(), *test_ratings);
+    }
+    // Publish at the cadence boundary (the final epoch's snapshot waits for
+    // the closing P roundtrip below so it matches the delivered model);
+    // queries on earlier snapshots keep their own references.
+    const std::uint32_t done = epoch + 1;
+    if (publishing) {
+      if (done % config_.publish_every == 0 && done < config_.sgd.epochs) {
+        server.publish_snapshot(done);
+        last_publish_epoch = done;
+      }
+      // Rollback can rewind the epoch behind the last publish; age 0 then.
+      serve::serve_metrics().snapshot_age_epochs->set(
+          done > last_publish_epoch
+              ? static_cast<double>(done - last_publish_epoch)
+              : 0.0);
+    }
+  };
+  driver.run(hooks);
+
   // The final push transmits P as well (Strategy 1's closing P&Q push).
   if (comm::effective_codec(config_.comm) != comm::CodecKind::kFp32 &&
       !quantizing_pq_each_epoch) {
@@ -662,10 +390,11 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
   // The delivered model (post P-roundtrip) always becomes the last
   // snapshot, so serving converges on exactly what train() returns.
   if (publishing) {
-    server.publish_snapshot(epoch);
+    server.publish_snapshot(driver.epoch());
     serve::serve_metrics().snapshot_age_epochs->set(0.0);
   }
 
+  const std::vector<TrainWorker>& workers = driver.workers();
   for (const auto& w : workers) report.comm_totals += w.comm_stats();
 
   report.fault.injected = fault_rt.injector().injected();
@@ -675,9 +404,11 @@ TrainReport HccMf::train(const data::RatingMatrix& train_ratings,
   report.fault.divergence_rollbacks = fault_rt.rollbacks();
   report.fault.stragglers = fault_rt.stragglers();
   report.fault.recovery_wall_s = fault_rt.recovery_wall_s();
+  report.fault.dead_workers = driver.dead_workers();
   report.fault.worker_nnz.resize(workers.size());
   for (std::size_t w = 0; w < workers.size(); ++w) {
-    report.fault.worker_nnz[w] = alive[w] ? workers[w].assigned_nnz() : 0;
+    report.fault.worker_nnz[w] =
+        driver.alive()[w] ? workers[w].assigned_nnz() : 0;
   }
 
   const double updates = static_cast<double>(shape.nnz) * config_.sgd.epochs;

@@ -194,7 +194,6 @@ class HccMf {
   const HccMfConfig& config() const noexcept { return config_; }
 
  private:
-  sim::DatasetShape shape_of(const data::RatingMatrix& m) const;
   /// `injector` (optional) composes scripted stalls/kills into the virtual
   /// timing path: a killed worker's share redistributes from its death
   /// epoch, a stalled worker's rates drop by its stall factor.

@@ -301,15 +301,13 @@ void TrainWorker::fold_own_delta(std::uint32_t k) {
   if (sparse_) {
     // Only touched rows can carry a non-zero delta.
     for (const std::uint32_t item : touched_) {
-      fold_row(item, item_weights_.empty() ? sync_weight_
-                                           : item_weights_[item]);
+      fold_row(item, item_weights_.empty() ? 1.0f : item_weights_[item]);
     }
   } else {
     const std::uint32_t items =
         static_cast<std::uint32_t>(push_staging_.size() / k);
     for (std::uint32_t item = 0; item < items; ++item) {
-      fold_row(item, item_weights_.empty() ? sync_weight_
-                                           : item_weights_[item]);
+      fold_row(item, item_weights_.empty() ? 1.0f : item_weights_[item]);
     }
   }
 }
@@ -327,9 +325,11 @@ void TrainWorker::compute_chunk(Server& server, std::uint32_t chunk, float lr,
   const std::size_t per_chunk = (entries.size() + streams_ - 1) / streams_;
   const std::size_t lo = std::min(entries.size(), chunk * per_chunk);
   const std::size_t hi = std::min(entries.size(), lo + per_chunk);
-  sgd_over_own(server, entries, lo, hi, lr, reg_p, reg_q, pool);
-  counter_updates_->add(hi - lo);
-  computed_ += hi - lo;
+  for (std::uint32_t pass = 0; pass < local_passes_; ++pass) {
+    sgd_over_own(server, entries, lo, hi, lr, reg_p, reg_q, pool);
+  }
+  counter_updates_->add((hi - lo) * local_passes_);
+  computed_ += (hi - lo) * local_passes_;
   last_chunk_ = chunk;
   apply_real_stall(watch.seconds());
   record_phase(span.stop(), &obs::PhaseTimes::compute_s, hist_compute_);
@@ -370,9 +370,9 @@ void TrainWorker::sgd_over_own(Server& server,
   }
 }
 
-void TrainWorker::guard_divergence() {
+void TrainWorker::guard_divergence(std::span<const float> q) const {
   if (fault_ != nullptr && fault_->options().divergence_guard &&
-      !mf::all_finite(local_q_)) {
+      !mf::all_finite(q)) {
     util::log_kv(util::LogLevel::kWarn, "fault.divergence",
                  {util::kv("worker", id_),
                   util::kv("epoch", fault_->injector().current_epoch())});
@@ -456,13 +456,7 @@ void TrainWorker::compute_stolen(Server& server, const TrainWorker& victim,
 
   // A non-finite scratch means the P rows just received garbage gradients
   // too — surface it like the owned path would.
-  if (fault_ != nullptr && fault_->options().divergence_guard &&
-      !mf::all_finite(steal_q_)) {
-    util::log_kv(util::LogLevel::kWarn, "fault.divergence",
-                 {util::kv("worker", id_),
-                  util::kv("epoch", fault_->injector().current_epoch())});
-    throw fault::DivergenceError(id_, fault_->injector().current_epoch());
-  }
+  guard_divergence(steal_q_);
   apply_real_stall(watch.seconds());
   record_phase(span.stop(), &obs::PhaseTimes::compute_s, hist_compute_);
   // The scratch Q is dropped here by design (see worker.hpp): the stolen
@@ -508,7 +502,7 @@ void TrainWorker::push(Server& server) {
     server.sync_q(push_staging_, snapshot_q_,
                   std::span<const float>(item_weights_), touched);
   } else {
-    server.sync_q(push_staging_, snapshot_q_, sync_weight_, touched);
+    server.sync_q(push_staging_, snapshot_q_, 1.0f, touched);
   }
   record_phase(sync_watch.seconds(), &obs::PhaseTimes::sync_s, hist_sync_);
 }

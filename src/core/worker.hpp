@@ -15,6 +15,7 @@
 // (Strategy 3's copy-engine overlap).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -68,6 +69,12 @@ class TrainWorker {
   /// overlaps chunk c+1's pull with chunk c's compute (streams >= 2 only).
   void set_exec(bool parallel, bool double_buffer);
 
+  /// SGD passes over each chunk per compute (default 1).  A cluster node
+  /// runs its `local_epochs` passes between global syncs through this.
+  void set_local_passes(std::uint32_t passes) noexcept {
+    local_passes_ = std::max(1u, passes);
+  }
+
   /// Arms the cache-aware rating scheduler (data/schedule.hpp).  `k` is the
   /// factor rank (sets the tile working-set size).  The worker id is mixed
   /// into the seed so workers do not reorder in lockstep.  Default-armed
@@ -91,9 +98,10 @@ class TrainWorker {
   /// and snapshots it for the later delta merge.
   void pull(Server& server);
 
-  /// Runs ASGD over chunk `chunk` (of `streams` chunks) of the slice:
-  /// updates global P rows in place and the local Q copy.  `pool` provides
-  /// the worker's thread pool (nullptr = single-threaded).
+  /// Runs ASGD over chunk `chunk` (of `streams` chunks) of the slice,
+  /// `local_passes` times: updates global P rows in place and the local Q
+  /// copy.  `pool` provides the worker's thread pool (nullptr =
+  /// single-threaded).
   void compute_chunk(Server& server, std::uint32_t chunk, float lr,
                      float reg_p, float reg_q, util::ThreadPool* pool);
 
@@ -145,7 +153,7 @@ class TrainWorker {
   /// The compute_chunk divergence check, callable standalone: throws
   /// fault::DivergenceError when the guard is armed and local Q has gone
   /// non-finite.  The stealing executor runs it once, pre-push.
-  void guard_divergence();
+  void guard_divergence() const { guard_divergence(local_q_); }
 
   /// One whole epoch of this worker — pull, then per chunk compute+push,
   /// with the next chunk's pull prefetched during compute when
@@ -186,41 +194,21 @@ class TrainWorker {
   /// re-derive per-item merge weights afterwards.
   void absorb_entries(const std::vector<data::Rating>& entries);
 
-  /// Sets the sync merge weight (the worker's data share x_i; default 1).
-  void set_sync_weight(float weight) noexcept { sync_weight_ = weight; }
-  float sync_weight() const noexcept { return sync_weight_; }
-
   /// Sets per-item merge weights (this worker's fraction of each item's
-  /// ratings); takes precedence over the scalar weight.  See
+  /// ratings); without them every item merges at weight 1.  See
   /// Server::sync_q(pushed, snapshot, item_weights).
   void set_item_weights(std::vector<float> weights) {
     item_weights_ = std::move(weights);
   }
 
-  /// The per-item merge weights (empty = scalar sync_weight applies); a
-  /// thief merges a stolen chunk with the *victim's* weights through here.
-  std::span<const float> item_weights_span() const noexcept {
-    return item_weights_;
-  }
-
   /// Wire-transfer accounting for this worker's channel.
   const comm::TransferStats& comm_stats() const { return backend_->stats(); }
 
-  /// The worker's COMM channel (a SessionComm under a non-default
-  /// transport; tests and reports read its protocol stats through this).
-  const comm::CommBackend& backend() const noexcept { return *backend_; }
-
-  /// Wall-clock seconds this worker has spent in each phase since the last
-  /// take_measured() — the runtime-observed counterpart of the paper's
-  /// T_pull/T_c/T_push/T_sync decomposition.  pull/compute/push accumulate
-  /// inside the instrumented methods; sync is the server merge time this
-  /// worker's pushes consumed.
-  const obs::PhaseTimes& measured_phases() const noexcept {
-    return measured_;
-  }
-
-  /// Returns the accumulated phase times and resets them (one epoch's
-  /// harvest).
+  /// Returns the wall-clock seconds this worker has spent in each phase
+  /// since the last take (one epoch's harvest) and resets them — the
+  /// runtime-observed counterpart of the paper's T_pull/T_c/T_push/T_sync
+  /// decomposition.  pull/compute/push accumulate inside the instrumented
+  /// methods; sync is the server merge time this worker's pushes consumed.
   obs::PhaseTimes take_measured() noexcept {
     obs::PhaseTimes out = measured_;
     measured_ = {};
@@ -287,6 +275,10 @@ class TrainWorker {
                     std::size_t lo, std::size_t hi, float lr, float reg_p,
                     float reg_q, util::ThreadPool* pool);
 
+  /// Throws fault::DivergenceError when the guard is armed and `q` holds a
+  /// non-finite value.
+  void guard_divergence(std::span<const float> q) const;
+
   /// Records one phase's wall-clock seconds (stall-inflated, unless the
   /// stall was already real — see set_real_stalls).
   void record_phase(double seconds, double obs::PhaseTimes::*field,
@@ -309,11 +301,11 @@ class TrainWorker {
   obs::Counter* counter_updates_ = nullptr;
   data::RatingMatrix slice_;
   std::uint32_t streams_;
+  std::uint32_t local_passes_ = 1;
   bool sparse_ = false;
   bool parallel_ = false;       ///< concurrent executor drives this worker
   bool double_buffer_ = false;  ///< overlap next pull with current compute
   std::vector<std::uint32_t> touched_;  ///< items this slice rates (sparse)
-  float sync_weight_ = 1.0f;
   std::vector<float> item_weights_;
   fault::FaultRuntime* fault_ = nullptr;
   double stall_factor_ = 1.0;

@@ -137,6 +137,26 @@ TEST(Membership, ElasticDefaultsAreBitIdenticalToLegacyTrainer) {
   EXPECT_EQ(a.recoveries, 0u);
 }
 
+TEST(Membership, DivergenceGuardRollsBackWithoutAFaultPlan) {
+  // The divergence guard is armed by default, plan or no plan: a runaway
+  // learning rate must roll back with a halved rate (the single-node rule)
+  // instead of training on NaNs.
+  const SmallProblem pr = netflix_small();
+  HierarchicalConfig config = elastic_config(pr.spec, 2);
+  config.sgd.epochs = 4;
+  config.sgd.learn_rate = 50.0f;
+  auto& rollbacks = obs::registry().counter("fault.divergence_rollbacks");
+  const std::uint64_t before = rollbacks.value();
+  const ClusterReport report =
+      HierarchicalHcc(config).train(pr.train, &pr.test);
+  EXPECT_GE(rollbacks.value(), before + 1);
+  ASSERT_EQ(report.test_rmse.size(), 4u);
+  for (const double rmse : report.test_rmse) {
+    EXPECT_TRUE(std::isfinite(rmse));
+  }
+  EXPECT_LT(report.test_rmse.back(), 1.1);
+}
+
 TEST(Membership, ChaosTransportAtClusterScopeHealsAndConverges) {
   // Each node's link to the global server runs the chaos transport; the
   // scripted drops/disconnect heal inside the session layer, so training

@@ -123,6 +123,18 @@ TEST(FaultRecovery, UnhealableChannelEscalatesToRecovery) {
   EXPECT_EQ(report.fault.worker_nnz[2], 0u);
 }
 
+TEST(FaultRecovery, LastLiveWorkerDeathIsRethrown) {
+  // Once the last live worker dies there is nothing left to degrade to:
+  // the fault must surface instead of the run "finishing" with no worker
+  // training and the model frozen at its last checkpoint.
+  const SmallProblem pr = netflix_small();
+  HccMfConfig faulty = base_config(pr.spec);
+  faulty.platform.workers.resize(2);
+  faulty.fault.plan = fault::FaultPlan::parse("kill:w0@e2;kill:w1@e4");
+  HccMf faulted(faulty);
+  EXPECT_THROW((void)faulted.train(pr.train, &pr.test), fault::WorkerFault);
+}
+
 TEST(FaultRecovery, StallChangesTimingsNotResults) {
   const SmallProblem pr = netflix_small();
   HccMfConfig faulty = base_config(pr.spec);
