@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
       cli.get("reconnect-budget",
               std::int64_t{config.comm.transport.reconnect_budget}));
 
-  // Execution mode: serial (deterministic legacy loop) or parallel
-  // (per-worker pipeline threads + striped server merge).
+  // Execution mode: serial (each worker's pipeline in turn, deterministic)
+  // or parallel (per-worker pipeline threads + striped server merge).
   config.exec.mode =
       core::parse_exec_mode(cli.get("exec-mode", std::string("serial")));
   config.exec.stripes =

@@ -126,10 +126,16 @@ ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
 
   ClusterReport report;
   report.node_shares = node_shares(shape);
-  // A join rebuilds the partition from scratch, so runs with a fault plan
-  // keep the pristine matrix around.
+  // A join rebuilds the partition from scratch, so runs whose plan scripts
+  // one keep the pristine matrix around.
+  const fault::FaultPlan& plan = driver.config().fault.plan;
   data::RatingMatrix full;
-  if (driver.fault_runtime().active()) full = matrix;
+  if (std::any_of(plan.events.begin(), plan.events.end(),
+                  [](const fault::FaultEvent& ev) {
+                    return ev.kind == fault::FaultKind::kJoin;
+                  })) {
+    full = matrix;
+  }
   std::vector<core::EpochDriver::Slot> slots;
   for (const auto& node : config_.cluster.nodes) slots.push_back({node.name});
   driver.build(std::move(matrix), report.node_shares, std::move(slots));
@@ -153,7 +159,6 @@ ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
 
   // Each scripted join fires exactly once per run: a rolled-back replay of
   // its epoch must not re-admit (and re-repartition) the node again.
-  const fault::FaultPlan& plan = driver.config().fault.plan;
   std::vector<bool> join_latched(plan.events.size(), false);
 
   core::EpochDriver::Hooks hooks;
@@ -203,6 +208,11 @@ ClusterReport HierarchicalHcc::train(const data::RatingMatrix& train_ratings,
   core::Server& global_server = driver.server();
   if (comm::effective_codec(config_.comm) != comm::CodecKind::kFp32) {
     global_server.roundtrip_p_through_codec();
+    // The last entry must describe the delivered (post-roundtrip) model.
+    if (!report.test_rmse.empty()) {
+      report.test_rmse.back() =
+          mf::rmse(global_server.model(), *test_ratings);
+    }
   }
   report.dead_nodes = driver.dead_workers();
   report.recoveries = driver.fault_runtime().recoveries();

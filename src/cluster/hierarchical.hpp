@@ -40,10 +40,11 @@ struct HierarchicalConfig {
   std::string dataset_name;
   std::uint32_t host_threads = 0;  ///< functional ASGD threads per node
   /// Execution mode of the functional global epoch (see
-  /// core/epoch_executor.hpp): kSerial iterates nodes on one thread in the
-  /// legacy order; kParallel runs each node's pull/train/push pipeline on
-  /// its own thread against a striped global server — the closest
-  /// functional analogue of real cluster nodes working concurrently.
+  /// core/epoch_executor.hpp): kSerial runs each alive node's whole
+  /// pipeline, in id order, on one thread — deterministic; kParallel runs
+  /// each node's pipeline on its own thread against a striped global
+  /// server — the closest functional analogue of real cluster nodes
+  /// working concurrently.  Both rethrow failures by the same priority.
   core::ExecOptions exec;
   /// Cache-aware visit order for each node's slice (see data/schedule.hpp);
   /// kAsIs (default) keeps the legacy bit-identical trajectory.

@@ -6,7 +6,6 @@ const char* node_state_name(NodeState state) {
   switch (state) {
     case NodeState::kActive: return "active";
     case NodeState::kDead: return "dead";
-    case NodeState::kJoining: return "joining";
   }
   return "?";
 }
@@ -43,25 +42,6 @@ std::size_t MembershipTable::active_count() const noexcept {
     if (s.state == NodeState::kActive) ++n;
   }
   return n;
-}
-
-std::vector<bool> MembershipTable::active_mask() const {
-  std::vector<bool> mask(nodes_.size());
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    mask[n] = nodes_[n].state == NodeState::kActive;
-  }
-  return mask;
-}
-
-std::vector<std::uint32_t> MembershipTable::joins_due(
-    const fault::FaultPlan& plan, std::uint32_t epoch) {
-  std::vector<std::uint32_t> due;
-  for (const fault::FaultEvent& event : plan.events) {
-    if (event.kind == fault::FaultKind::kJoin && event.epoch == epoch) {
-      due.push_back(event.worker);
-    }
-  }
-  return due;
 }
 
 std::string MembershipTable::to_string() const {

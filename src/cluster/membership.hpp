@@ -19,12 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 
 namespace hcc::cluster {
 
-enum class NodeState : std::uint8_t { kActive, kDead, kJoining };
+enum class NodeState : std::uint8_t { kActive, kDead };
 
 const char* node_state_name(NodeState state);
 
@@ -47,23 +46,14 @@ class MembershipTable {
   /// Death: the node leaves the group (LinkDeadError, kill event, ...).
   void mark_dead(std::size_t node, std::uint32_t epoch);
 
-  /// Join/rejoin: the node (re)enters the group at `epoch`.  Passes
-  /// through kJoining only notionally — the trainer rebuilds the
-  /// partition synchronously, so the node is active on return.
+  /// Join/rejoin: the node (re)enters the group at `epoch`.  The trainer
+  /// rebuilds the partition synchronously, so the node is active on return.
   void mark_joined(std::size_t node, std::uint32_t epoch);
 
   std::size_t active_count() const noexcept;
-  /// Per-node activity mask in node-id order (the executor's alive vector).
-  std::vector<bool> active_mask() const;
 
   std::uint64_t deaths() const noexcept { return deaths_; }
   std::uint64_t joins() const noexcept { return joins_; }
-
-  /// Node ids with a scripted join event at exactly `epoch` (the trainer
-  /// latches each event separately so a post-rollback replay of the epoch
-  /// does not re-fire it).
-  static std::vector<std::uint32_t> joins_due(const fault::FaultPlan& plan,
-                                              std::uint32_t epoch);
 
   std::string to_string() const;
 

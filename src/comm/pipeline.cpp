@@ -77,18 +77,6 @@ std::size_t StreamPipeline::chunk_count(std::size_t n_floats) const noexcept {
       1, (n_floats + chunk_floats_ - 1) / chunk_floats_);
 }
 
-void StreamPipeline::set_depth(std::uint32_t depth) {
-  const std::uint32_t clamped = std::max(1u, depth);
-  if (clamped == depth_) return;
-  depth_ = clamped;
-  // Codec state is partitioned per chunk; a different window can mean a
-  // different partition, so drop the codecs and let the next transfer
-  // re-seed with keyframes rather than decode against mismatched state.
-  codecs_.clear();
-  sparse_views_.clear();
-  n_floats_ = 0;
-}
-
 void StreamPipeline::reset_state() {
   for (auto& codec : codecs_) codec->reset_state();
 }

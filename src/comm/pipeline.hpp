@@ -87,9 +87,6 @@ class StreamPipeline {
 
   /// In-flight window; 1 = legacy single-shot transfers.
   std::uint32_t depth() const noexcept { return depth_; }
-  /// Switches the window between epochs.  Crossing the 1 <-> N boundary
-  /// re-partitions codec state, so the next transfer re-keyframes.
-  void set_depth(std::uint32_t depth);
   /// Row-aligned floats per chunk (sized from codec_threads so a 0-thread
   /// per-chunk codec still saturates: threads x kParallelThreshold).
   std::size_t chunk_floats() const noexcept { return chunk_floats_; }

@@ -110,14 +110,10 @@ std::unique_ptr<Codec> make_pull_codec(const CommConfig& config,
 }
 
 std::unique_ptr<CommBackend> make_backend(const CommConfig& config) {
-  std::unique_ptr<CommBackend> backend;
   if (config.backend == BackendKind::kBroker) {
-    backend = std::make_unique<BrokerComm>();
-  } else {
-    backend = std::make_unique<ShmComm>();
+    return std::make_unique<BrokerComm>();
   }
-  backend->set_checksum_enabled(config.checksum);
-  return backend;
+  return std::make_unique<ShmComm>();
 }
 
 std::unique_ptr<CommBackend> make_backend(const CommConfig& config,
@@ -127,10 +123,8 @@ std::unique_ptr<CommBackend> make_backend(const CommConfig& config,
     // session protocol on the single-box wire path.
     return make_backend(config);
   }
-  auto backend = std::make_unique<SessionComm>(
+  return std::make_unique<SessionComm>(
       make_transport(config.transport, worker), config.transport, worker);
-  backend->set_checksum_enabled(config.checksum);
-  return backend;
 }
 
 }  // namespace hcc::comm

@@ -39,11 +39,6 @@ struct CommConfig {
                                ///< attacks the dimension-bound cost the
                                ///< paper's Section 4.6 identifies.  Adds a
                                ///< 4-byte row index per transmitted row.
-  bool checksum = false;       ///< Fault-tolerance extension: out-of-band
-                               ///< payload checksum per transfer (8 wire
-                               ///< bytes); transfer() throws ChecksumError
-                               ///< on corruption.  Enabled by HccMf when a
-                               ///< fault plan / checkpoint dir is active.
   /// Chunked-streaming extension: how many row-aligned chunks of one P/Q
   /// transfer may be in flight at once (comm/pipeline.hpp).  Depth 1 (the
   /// default) is the legacy single-shot path, bit-identical on the wire;

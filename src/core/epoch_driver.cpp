@@ -82,8 +82,8 @@ void EpochDriver::build(data::RatingMatrix matrix, std::vector<double> shares,
   util::Rng rng(config_.sgd.seed);
   mf::FactorModel model(shape_.m, shape_.n, shape_.k);
   model.init_random(rng, static_cast<float>(mean));
-  // Stripe count: always 1 under kSerial (the legacy single-lock merge,
-  // bit-identical order); under kParallel the configured/auto count.
+  // Stripe count: always 1 under kSerial (no merge runs concurrently);
+  // under kParallel the configured/auto count.
   const std::uint32_t stripes = resolve_stripes(
       config_.exec, static_cast<std::uint32_t>(shape_.n), slices.size());
   server_ = std::make_unique<Server>(std::move(model), config_.comm, stripes);
@@ -190,8 +190,8 @@ std::vector<obs::PhaseTimes> EpochDriver::step() {
   }
   // pull -> compute -> push, chunked per worker by its stream depth
   // (Figure 6's pipelines; chunk boundaries act as the async syncs).
-  // kSerial interleaves the phases on this thread; kParallel runs each
-  // worker's pipeline on its own executor thread and rethrows any captured
+  // kSerial runs each worker's pipeline in turn on this thread, kParallel
+  // on its own executor thread; both rethrow the highest-priority captured
   // fault here at the barrier, so recovery is shared by both modes.
   executor_->run_epoch(workers_, alive_, *server_, lr_, config_.sgd.reg_p,
                        config_.sgd.reg_q, pool_.get());

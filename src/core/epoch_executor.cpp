@@ -29,6 +29,21 @@ int error_rank(const std::exception_ptr& ep) {
   }
 }
 
+/// Runs fn(index) when worker `index` is alive (a null mask means all) and
+/// returns what it threw, so one failure never stops the other workers.
+std::exception_ptr run_one(std::size_t index, const std::vector<bool>* alive,
+                           const std::function<void(std::size_t)>* fn) {
+  const bool live =
+      alive == nullptr || index >= alive->size() || (*alive)[index];
+  if (!live || fn == nullptr) return nullptr;
+  try {
+    (*fn)(index);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 const char* exec_mode_name(ExecMode mode) {
@@ -85,7 +100,7 @@ void EpochExecutor::thread_loop(std::size_t index) {
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::size_t)>* fn = nullptr;
-    bool live = false;
+    const std::vector<bool>* alive = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_work_.wait(lock,
@@ -93,17 +108,9 @@ void EpochExecutor::thread_loop(std::size_t index) {
       if (stopping_) return;
       seen = generation_;
       fn = fn_;
-      live = alive_ == nullptr || index >= alive_->size() ||
-             (*alive_)[index];
+      alive = alive_;
     }
-    std::exception_ptr error;
-    if (live && fn != nullptr) {
-      try {
-        (*fn)(index);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
+    std::exception_ptr error = run_one(index, alive, fn);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       // Move, don't copy: the local must not keep a reference past the
@@ -118,6 +125,13 @@ void EpochExecutor::thread_loop(std::size_t index) {
 void EpochExecutor::run_parallel(const std::vector<bool>& alive,
                                  const std::function<void(std::size_t)>& fn) {
   if (n_ == 0) return;
+  if (options_.mode == ExecMode::kSerial) {
+    // The same barrier contract on the calling thread: every alive worker
+    // runs, in id order, and the winner is rethrown afterwards.
+    for (std::size_t i = 0; i < n_; ++i) errors_[i] = run_one(i, &alive, &fn);
+    rethrow_barrier_error();
+    return;
+  }
   start_threads();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -161,32 +175,10 @@ void EpochExecutor::run_epoch(std::vector<TrainWorker>& workers,
                               const std::vector<bool>& alive, Server& server,
                               float lr, float reg_p, float reg_q,
                               util::ThreadPool* pool) {
-  if (options_.mode == ExecMode::kSerial) {
-    // The legacy interleaved loop, preserved verbatim: for each chunk, all
-    // pulls, then all computes, then all pushes, in worker order.  Merge
-    // order (and thus float arithmetic order) is exactly the pre-executor
-    // trajectory — the determinism contract behind kSerial.
-    std::uint32_t max_streams = 1;
-    for (auto& w : workers) {
-      if (alive[w.id()]) w.prepare_epoch();
-      max_streams = std::max(max_streams, w.streams());
-    }
-    for (std::uint32_t chunk = 0; chunk < max_streams; ++chunk) {
-      for (auto& w : workers) {
-        if (alive[w.id()] && chunk < w.streams()) w.pull(server);
-      }
-      for (auto& w : workers) {
-        if (alive[w.id()] && chunk < w.streams()) {
-          w.compute_chunk(server, chunk, lr, reg_p, reg_q, pool);
-        }
-      }
-      for (auto& w : workers) {
-        if (alive[w.id()] && chunk < w.streams()) w.push(server);
-      }
-    }
-    return;
-  }
-  if (!options_.steal) {
+  // Stealing needs peers draining their queues concurrently, so it is a
+  // kParallel-only schedule; every other epoch is each alive worker's whole
+  // pipeline, on its own thread or (kSerial) inline in worker-id order.
+  if (!options_.steal || options_.mode == ExecMode::kSerial) {
     run_parallel(alive, [&](std::size_t i) {
       // The reorder runs on the worker's own (possibly pinned) thread so
       // the permuted entries are first-touched where they will be streamed.

@@ -3,20 +3,22 @@
 // The paper's headline claim is *collaborative* execution: every CPU/GPU
 // worker runs its own pull -> compute -> push pipeline concurrently, with
 // the server merge (Eq. 3's T_sync) either overlapped or hidden.  This
-// executor provides the two execution modes behind that claim:
+// executor runs one epoch body — each alive worker's *entire* chunked
+// pipeline (TrainWorker::run_pipeline), independent of its peers, in the
+// HogWild / FPSGD tradition adapted to our parameter-server shape — in one
+// of two modes:
 //
-//  - kSerial   reproduces the original single-host-thread loop exactly —
-//              workers interleave phase by phase, chunk by chunk, in worker
-//              order.  The training trajectory is bit-identical to the
-//              pre-executor code, which is why it stays the default.
-//  - kParallel gives each worker a dedicated thread running its *entire*
-//              chunked pipeline independently (per-worker pipelines, in the
-//              HogWild / FPSGD tradition adapted to our parameter-server
-//              shape).  Workers join at an epoch barrier; exceptions
-//              (fault::WorkerFault, fault::DivergenceError) are captured
-//              per thread and the highest-priority one is rethrown at the
-//              barrier, so the epoch driver's recovery/rollback paths
-//              (core/epoch_driver.hpp) work unchanged.
+//  - kSerial   runs each alive worker's whole pipeline, in id order, on the
+//              calling thread; deterministic run to run, which is why it
+//              stays the default.
+//  - kParallel gives each worker a dedicated thread running that pipeline
+//              concurrently; workers join at an epoch barrier.
+//
+// Both modes share one failure rule: every alive worker runs, exceptions
+// (fault::WorkerFault, fault::DivergenceError, ...) are captured per worker
+// and the highest-priority one is rethrown afterwards, so the epoch
+// driver's recovery/rollback paths (core/epoch_driver.hpp) see the same
+// error whichever mode ran the epoch.
 //
 // Under kParallel the Server's Q is partitioned into row-range stripes with
 // per-stripe mutexes (see core/server.hpp) so merges from different workers
@@ -46,7 +48,7 @@ class TrainWorker;
 
 /// How one functional epoch executes across the workers.
 enum class ExecMode : std::uint8_t {
-  kSerial,    ///< legacy interleaved loop, one host thread, deterministic
+  kSerial,    ///< every worker's pipeline inline, one thread, deterministic
   kParallel,  ///< per-worker pipeline threads + striped server merge
 };
 
@@ -54,8 +56,8 @@ enum class ExecMode : std::uint8_t {
 struct ExecOptions {
   ExecMode mode = ExecMode::kSerial;
   /// Q stripes for the server merge under kParallel (0 = auto: 8 per
-  /// worker, clamped to the item count).  kSerial always runs 1 stripe so
-  /// the merge arithmetic order is exactly the legacy order.
+  /// worker, clamped to the item count).  kSerial always runs 1 stripe:
+  /// with one thread there is no merge to run concurrently.
   std::uint32_t stripes = 0;
   /// Double-buffer each worker's local Q under kParallel so chunk c+1's
   /// pull (on a prefetch thread) overlaps chunk c's compute.  Only takes
@@ -74,6 +76,7 @@ struct ExecOptions {
   /// holding the epoch barrier.  Supersedes the per-worker stream pipeline
   /// (one pull, a chunk-drain loop, one push per epoch).  Off by default:
   /// the non-stealing pipelines stay bit-identical to pre-steal builds.
+  /// Ignored under kSerial, which has no peer thread to steal for.
   bool steal = false;
   /// Target ratings per chunk under `steal` (0 = auto: assigned_nnz / 16
   /// per worker, rescaled every epoch by the worker's measured
@@ -93,8 +96,8 @@ std::uint32_t resolve_stripes(const ExecOptions& opts, std::uint32_t items,
                               std::size_t workers);
 
 /// Runs the workers of one epoch, in either mode.  One executor serves a
-/// whole training run; its worker threads (kParallel) are spawned lazily on
-/// the first epoch and parked on a barrier between epochs.
+/// whole training run; its worker threads (kParallel only) are spawned
+/// lazily on the first epoch and parked on a barrier between epochs.
 class EpochExecutor {
  public:
   /// `n_workers` fixes the thread-pool width (one thread per worker).
@@ -108,23 +111,22 @@ class EpochExecutor {
   ExecMode mode() const noexcept { return options_.mode; }
   const ExecOptions& options() const noexcept { return options_; }
 
-  /// One full functional epoch over `workers`:
-  ///  - kSerial: the legacy loop — for each chunk, all pulls, then all
-  ///    computes, then all pushes, in worker order (bit-identical).
-  ///  - kParallel: each alive worker's TrainWorker::run_pipeline on its
-  ///    dedicated thread, joined at the epoch barrier.
+  /// One full functional epoch over `workers`: run_parallel over the
+  /// alive workers of prepare_epoch() + run_pipeline(), or under
+  /// kParallel + steal the work-stealing chunk schedule.
   void run_epoch(std::vector<TrainWorker>& workers,
                  const std::vector<bool>& alive, Server& server, float lr,
                  float reg_p, float reg_q, util::ThreadPool* pool);
 
-  /// The generic barrier primitive behind kParallel (public for tests and
-  /// for callers that wrap each worker's pipeline, e.g. to time it): runs
-  /// fn(i) for every i with alive[i] on worker i's
-  /// dedicated thread and blocks until all checked in.  Exceptions are
-  /// captured per worker; after the barrier the highest-priority one is
+  /// The barrier primitive behind both modes (public for tests and for
+  /// callers that wrap each worker's pipeline, e.g. to time it): runs
+  /// fn(i) for every i with alive[i] — on worker i's dedicated thread under
+  /// kParallel, on the calling thread in increasing i under kSerial — and
+  /// returns once all have finished.  Exceptions are captured per worker
+  /// and never stop the others; afterwards the highest-priority one is
   /// rethrown — fault::WorkerFault outranks fault::DivergenceError
   /// outranks anything else, ties broken by the lowest worker index — so
-  /// concurrent failures surface deterministically.
+  /// failures surface deterministically in either mode.
   void run_parallel(const std::vector<bool>& alive,
                     const std::function<void(std::size_t)>& fn);
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/adaptive.hpp"
 #include "core/epoch_driver.hpp"
 #include "fault/recovery.hpp"
 #include "mf/metrics.hpp"
@@ -90,11 +91,6 @@ std::vector<ConfigError> HccMfConfig::validate() const {
            "comm.pipeline_depth must be in [1, 64] (1 = legacy single-shot "
            "transfers)");
   }
-  if (adaptive_repartition &&
-      (adaptive.gain <= 0.0 || adaptive.gain > 1.0)) {
-    reject(ConfigErrorCode::kBadAdaptiveGain,
-           "adaptive.gain must be in (0, 1]");
-  }
   if (!(fault.deadline_factor > 0.0) ||
       !std::isfinite(fault.deadline_factor)) {
     reject(ConfigErrorCode::kBadDeadlineFactor,
@@ -115,8 +111,8 @@ std::vector<ConfigError> HccMfConfig::validate() const {
   }
   if (exec.steal && exec.mode != ExecMode::kParallel) {
     reject(ConfigErrorCode::kStealNeedsParallel,
-           "exec.steal requires exec.mode == parallel (kSerial is the "
-           "bit-identical legacy loop)");
+           "exec.steal requires exec.mode == parallel (kSerial runs the "
+           "workers one after another, so none is free to steal)");
   }
   // Transport settings: a zero heartbeat would spin the session pump, a
   // timeout at or under the heartbeat interval declares every silence a
@@ -179,7 +175,7 @@ void HccMf::accumulate_timing(TrainReport& report, const DataManager& manager,
   Plan live_plan = plan;
   std::optional<AdaptiveController> controller;
   if (config_.adaptive_repartition) {
-    controller.emplace(plan.shares, config_.adaptive);
+    controller.emplace(plan.shares);
   }
   const bool injecting = injector != nullptr && !injector->plan().empty();
   std::vector<bool> alive(live_plan.shares.size(), true);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "comm/strategy.hpp"
-#include "core/adaptive.hpp"
 #include "core/data_manager.hpp"
 #include "core/epoch_executor.hpp"
 #include "core/server.hpp"
@@ -44,7 +43,6 @@ enum class ConfigErrorCode {
   kBadRegularization,
   kBadDecay,
   kZeroStreams,
-  kBadAdaptiveGain,
   kBadDeadlineFactor,
   kBadBackoff,
   kZeroCheckpointCadence,
@@ -77,9 +75,10 @@ struct HccMfConfig {
   /// Host threads for the functional workers' ASGD (0 = single-threaded).
   std::uint32_t host_threads = 0;
   /// How the functional epoch executes across workers (see
-  /// core/epoch_executor.hpp): kSerial (default) keeps the bit-identical
-  /// deterministic single-thread trajectory; kParallel runs each worker's
-  /// pipeline on its own thread against a striped server.
+  /// core/epoch_executor.hpp): kSerial (default) runs each alive worker's
+  /// whole pipeline, in id order, on one thread — deterministic;
+  /// kParallel runs each worker's pipeline on its own thread against a
+  /// striped server.  Both rethrow failures by the same priority.
   ExecOptions exec;
   /// Cache-aware visit order for each worker's slice (see
   /// data/schedule.hpp): kAsIs (default) is a guaranteed no-op keeping the
@@ -91,7 +90,6 @@ struct HccMfConfig {
   /// Runtime adaptation (extension, see core/adaptive.hpp): rebalance the
   /// partition between epochs when measured compute times drift apart.
   bool adaptive_repartition = false;
-  AdaptiveOptions adaptive;
   /// Test hook for the timing layer: per-(epoch, worker) update-rate scale
   /// emulating throttling / co-tenancy (1.0 = nominal; empty = none).
   std::function<double(std::uint32_t epoch, std::size_t worker)>

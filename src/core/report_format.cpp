@@ -54,25 +54,6 @@ std::string format_report(const TrainReport& report) {
   return os.str();
 }
 
-std::string format_epoch_table(const TrainReport& report,
-                               std::uint32_t stride) {
-  stride = std::max(1u, stride);
-  util::Table table({"epoch", "test RMSE", "epoch (s)", "cumulative (s)"});
-  for (std::size_t e = 0; e < report.epochs.size(); ++e) {
-    if (e % stride != 0 && e + 1 != report.epochs.size()) continue;
-    const auto& er = report.epochs[e];
-    table.add_row({std::to_string(er.epoch),
-                   std::isnan(er.test_rmse)
-                       ? "-"
-                       : util::Table::num(er.test_rmse, 4),
-                   util::Table::num(er.virtual_s, 6),
-                   util::Table::num(er.cumulative_virtual_s, 6)});
-  }
-  std::ostringstream os;
-  table.print(os);
-  return os.str();
-}
-
 std::string format_drift_table(const TrainReport& report,
                                const std::vector<std::string>& worker_names) {
   if (report.epochs.empty() || report.epochs.back().drift.workers.empty()) {

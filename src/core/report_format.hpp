@@ -17,11 +17,6 @@ namespace hcc::core {
 /// traffic, repartition count.
 std::string format_report(const TrainReport& report);
 
-/// One row per epoch: "epoch  rmse  epoch_s  cumulative_s" as an aligned
-/// table.  `stride` subsamples long runs (1 = every epoch).
-std::string format_epoch_table(const TrainReport& report,
-                               std::uint32_t stride = 1);
-
 /// Cost-model drift table of the last epoch (measured phase times vs the
 /// Eq. 1-5 predictions), one row per worker; empty string when the report
 /// carries no drift data.  `worker_names` labels rows (device names).

@@ -10,9 +10,9 @@
 // workers push at once, so Q is partitioned into row-range *stripes* with
 // one mutex each: two workers merging into different stripes proceed in
 // parallel instead of serializing the whole T_sync term, and a sparse
-// worker locks only the stripes containing its touched rows.  The legacy
-// single-threaded path runs with 1 stripe, where the merge loop (and its
-// float arithmetic order) is exactly the pre-striping code.
+// worker locks only the stripes containing its touched rows.  The serial
+// executor runs with 1 stripe, where the merge loop (and its float
+// arithmetic order) is exactly the pre-striping code.
 #pragma once
 
 #include <atomic>
@@ -59,8 +59,7 @@ class Server {
   /// without over-applying popular rows' gradients p-fold.
   ///
   /// `touched` (optional, ascending item ids) limits the merge to stripes
-  /// intersecting those rows — the sparse-push fast path under concurrent
-  /// execution.  Skipped rows MUST carry a zero delta (pushed == snapshot),
+  /// intersecting those rows — the sparse-push fast path.  Skipped rows MUST carry a zero delta (pushed == snapshot),
   /// which is exactly what TrainWorker's snapshot staging guarantees.
   /// Empty means merge everything (the deterministic legacy order).
   void sync_q(std::span<const float> pushed, std::span<const float> snapshot,

@@ -211,12 +211,9 @@ void TrainWorker::pull_into(Server& server, util::AlignedFloats& q_dst,
   const std::uint32_t k = server.model().k();
   const comm::StreamPipeline::RetryFn retry = retry_policy();
   if (sparse_) {
-    // Strategy 4: only the touched Q rows cross the wire.
-    if (parallel_) {
-      server.gather_q_rows(touched_, packed_send_);
-    } else {
-      gather_touched(server.model().q_data(), packed_send_, k);
-    }
+    // Strategy 4: only the touched Q rows cross the wire, read under the
+    // stripe locks (safe against concurrent merges).
+    server.gather_q_rows(touched_, packed_send_);
     pull_pipe_->transfer(*backend_, packed_send_, packed_recv_, retry);
     scatter_touched(packed_recv_, q_dst, k);
     // The snapshot is what this worker *received* (post-codec), so the
@@ -235,7 +232,8 @@ void TrainWorker::pull_into(Server& server, util::AlignedFloats& q_dst,
       };
   if (parallel_) {
     // Concurrent execution: other workers may be merging right now, so the
-    // global read goes through the server's stripe locks.
+    // global read goes through the server's stripe locks.  Serially no
+    // merge can overlap, and reading Q in place saves the staging copy.
     server.read_q(pull_staging_);
     pull_pipe_->transfer(*backend_, pull_staging_, q_dst, retry,
                          snapshot_chunk);
@@ -492,11 +490,11 @@ void TrainWorker::push(Server& server) {
 
   // The server-side merge is the paper's T_sync term — timed separately
   // and attributed to this worker (the server records its own span).
-  // Under concurrent execution a sparse worker hands the server its
-  // touched-row set so the merge locks (and walks) only those stripes.
+  // A sparse worker hands the server its touched-row set so the merge
+  // locks (and walks) only those stripes.
   const std::span<const std::uint32_t> touched =
-      (parallel_ && sparse_) ? std::span<const std::uint32_t>(touched_)
-                             : std::span<const std::uint32_t>();
+      sparse_ ? std::span<const std::uint32_t>(touched_)
+              : std::span<const std::uint32_t>();
   util::Stopwatch sync_watch;
   if (!item_weights_.empty()) {
     server.sync_q(push_staging_, snapshot_q_,

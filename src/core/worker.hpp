@@ -7,12 +7,12 @@
 // it updates the global P in place — exactly why "Transmitting Q only"
 // loses nothing (Section 3.4, Strategy 1).
 //
-// Under the concurrent epoch executor (core/epoch_executor.hpp) each
-// worker's whole chunked pipeline runs on a dedicated thread via
-// run_pipeline(); pulls then go through the server's stripe-locked readers
-// (safe against concurrent merges), and with double-buffering on, chunk
-// c+1's pull runs on a prefetch thread overlapping chunk c's compute
-// (Strategy 3's copy-engine overlap).
+// The epoch executor (core/epoch_executor.hpp) runs each worker's whole
+// chunked pipeline via run_pipeline(), inline under kSerial or on a
+// dedicated thread under kParallel; concurrent dense pulls then go through
+// the server's stripe-locked readers (safe against concurrent merges), and
+// with double-buffering on, chunk c+1's pull runs on a prefetch thread
+// overlapping chunk c's compute (Strategy 3's copy-engine overlap).
 #pragma once
 
 #include <algorithm>
@@ -62,11 +62,11 @@ class TrainWorker {
   /// comm::CommConfig::sparse) only these Q rows travel.
   std::size_t touched_items() const noexcept { return touched_.size(); }
 
-  /// Switches between the single-threaded legacy phase methods and the
-  /// concurrent pipeline: under `parallel` pulls route through the
-  /// server's stripe-locked readers and pushes pass the touched-row set so
-  /// the merge skips untouched stripes; `double_buffer` additionally
-  /// overlaps chunk c+1's pull with chunk c's compute (streams >= 2 only).
+  /// Tells the worker whether peers run concurrently: under `parallel` a
+  /// dense pull copies Q out through the server's stripe-locked reader
+  /// (serially it reads the model in place, saving the staging copy), and
+  /// `double_buffer` overlaps chunk c+1's pull with chunk c's compute
+  /// (streams >= 2 only).
   void set_exec(bool parallel, bool double_buffer);
 
   /// SGD passes over each chunk per compute (default 1).  A cluster node
@@ -82,10 +82,10 @@ class TrainWorker {
   void set_schedule(const data::ScheduleOptions& options, std::uint32_t k);
 
   /// Reorders this worker's slice for the upcoming epoch (internal epoch
-  /// counter).  Must run before the epoch's first compute: on the worker's
-  /// own pipeline thread under the concurrent executor (first-touch keeps
-  /// the reordered entries NUMA-local), or on the driver thread in serial
-  /// mode.  kAsIs leaves the slice bit-identical and records nothing.
+  /// counter).  Must run before the epoch's first compute, on the thread
+  /// that then runs the pipeline (under kParallel first-touch keeps the
+  /// reordered entries NUMA-local).  kAsIs leaves the slice bit-identical
+  /// and records nothing.
   void prepare_epoch();
 
   /// What the last prepare_epoch() did (tiles, spans, reorder wall time).
@@ -230,9 +230,9 @@ class TrainWorker {
   void ensure_buffers(Server& server);
 
   /// The shared body of pull()/the prefetch: wire-transfers the global Q
-  /// into `q_dst` and snapshots the received state into `snap_dst`.  Under
-  /// parallel execution the global read goes through the server's
-  /// stripe-locked readers.
+  /// into `q_dst` and snapshots the received state into `snap_dst`.  Sparse
+  /// and concurrent dense reads go through the server's stripe-locked
+  /// readers.
   void pull_into(Server& server, util::AlignedFloats& q_dst,
                  std::vector<float>& snap_dst);
 
@@ -303,7 +303,7 @@ class TrainWorker {
   std::uint32_t streams_;
   std::uint32_t local_passes_ = 1;
   bool sparse_ = false;
-  bool parallel_ = false;       ///< concurrent executor drives this worker
+  bool parallel_ = false;       ///< peers run concurrently (dense pull path)
   bool double_buffer_ = false;  ///< overlap next pull with current compute
   std::vector<std::uint32_t> touched_;  ///< items this slice rates (sparse)
   std::vector<float> item_weights_;

@@ -21,11 +21,6 @@ namespace hcc::data {
 /// "Transmitting Q only" communication strategy.
 enum class GridKind { kRow, kColumn };
 
-/// Picks the grid orientation for a matrix per the paper's rule.
-inline GridKind choose_grid(const RatingMatrix& matrix) {
-  return matrix.rows() >= matrix.cols() ? GridKind::kRow : GridKind::kColumn;
-}
-
 /// One worker's assignment: the half-open row (or column) range and the
 /// number of ratings that fall inside it.
 struct GridRange {

@@ -62,13 +62,6 @@ void RatingMatrix::sort_by_row() {
                    });
 }
 
-void RatingMatrix::sort_by_col() {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const Rating& a, const Rating& b) {
-                     return a.i != b.i ? a.i < b.i : a.u < b.u;
-                   });
-}
-
 std::vector<std::size_t> RatingMatrix::row_counts() const {
   std::vector<std::size_t> counts(rows_, 0);
   for (const auto& e : entries_) ++counts[e.u];

@@ -69,9 +69,6 @@ class RatingMatrix {
   /// row-major factor access (the paper's CuMF_SGD modification iii).
   void sort_by_row();
 
-  /// Stable-sorts entries by column then row (used under column grids).
-  void sort_by_col();
-
   /// Per-row nonzero counts; used by the grid partitioner to split rows so
   /// each worker receives its target *fraction of ratings*, not of rows.
   std::vector<std::size_t> row_counts() const;

@@ -140,25 +140,4 @@ EpochTiming simulate_epoch(const EpochConfig& config) {
   return run_once(config, extra);
 }
 
-EpochTiming simulate_epochs(const EpochConfig& config, std::uint32_t epochs) {
-  EpochTiming total;
-  total.workers.resize(config.workers.size());
-  EpochConfig cfg = config;
-  for (std::uint32_t e = 0; e < epochs; ++e) {
-    cfg.seed = config.seed + e;
-    const EpochTiming one = simulate_epoch(cfg);
-    total.epoch_s += one.epoch_s;
-    total.server_busy_s += one.server_busy_s;
-    for (std::size_t w = 0; w < total.workers.size(); ++w) {
-      total.workers[w].pull_s += one.workers[w].pull_s;
-      total.workers[w].compute_s += one.workers[w].compute_s;
-      total.workers[w].push_s += one.workers[w].push_s;
-      total.workers[w].sync_s += one.workers[w].sync_s;
-      total.workers[w].finish_s += one.workers[w].finish_s;
-      total.workers[w].sync_end_s += one.workers[w].sync_end_s;
-    }
-  }
-  return total;
-}
-
 }  // namespace hcc::sim

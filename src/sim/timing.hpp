@@ -87,9 +87,4 @@ struct EpochTiming {
 /// Simulates one training epoch.  Deterministic for a fixed config.
 EpochTiming simulate_epoch(const EpochConfig& config);
 
-/// Simulates `epochs` consecutive epochs (jitter re-drawn each epoch) and
-/// returns the element-wise accumulated timing — what Figure 8 and Table 6
-/// plot ("time statistics of 20 epochs").
-EpochTiming simulate_epochs(const EpochConfig& config, std::uint32_t epochs);
-
 }  // namespace hcc::sim

@@ -1,31 +1,9 @@
 #include "sim/trace_export.hpp"
 
-#include <algorithm>
-
-#include "obs/chrome_trace.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace hcc::sim {
-
-namespace {
-
-constexpr std::uint32_t kServerTrack = 0;
-
-std::map<std::uint32_t, std::string> trace_track_names(
-    std::size_t workers, const std::vector<std::string>& worker_names) {
-  std::map<std::uint32_t, std::string> tracks;
-  tracks[kServerTrack] = "server (sync)";
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::string device =
-        w < worker_names.size() ? worker_names[w] : "";
-    tracks[static_cast<std::uint32_t>(w) + 1] =
-        "worker " + std::to_string(w) + (device.empty() ? "" : " (" + device + ")");
-  }
-  return tracks;
-}
-
-}  // namespace
 
 bool export_epoch_csv(const EpochTiming& timing,
                       const std::vector<std::string>& worker_names,
@@ -59,67 +37,6 @@ bool export_series_csv(const std::vector<std::string>& columns,
     csv.row(cells);
   }
   return true;
-}
-
-std::vector<obs::TraceEvent> epoch_trace_events(
-    const EpochTiming& timing, const std::vector<std::string>& worker_names,
-    double t0_us) {
-  (void)worker_names;  // names travel as track metadata, not per event
-  std::vector<obs::TraceEvent> events;
-  auto slice = [&](const char* name, const char* cat, std::uint32_t track,
-                   double start_s, double dur_s) {
-    if (dur_s <= 0.0) return;
-    obs::TraceEvent ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.track = track;
-    ev.ts_us = t0_us + std::max(0.0, start_s) * 1e6;
-    ev.dur_us = dur_s * 1e6;
-    events.push_back(std::move(ev));
-  };
-  for (std::size_t w = 0; w < timing.workers.size(); ++w) {
-    const WorkerTiming& t = timing.workers[w];
-    const std::uint32_t track = static_cast<std::uint32_t>(w) + 1;
-    const double compute_start = t.pull_s;
-    // Prefer the engine's completion instants; measured records carry only
-    // phase totals, so chain the phases contiguously instead.
-    const double push_start = t.finish_s > 0.0
-                                  ? t.finish_s - t.push_s
-                                  : compute_start + t.compute_s;
-    slice("pull", obs::kPhaseCategory, track, 0.0, t.pull_s);
-    slice("compute", obs::kPhaseCategory, track, compute_start, t.compute_s);
-    slice("push", obs::kPhaseCategory, track, push_start, t.push_s);
-    const double sync_start = t.sync_end_s > 0.0
-                                  ? t.sync_end_s - t.sync_s
-                                  : push_start + t.push_s;
-    slice("sync", obs::kPhaseCategory, kServerTrack, sync_start, t.sync_s);
-  }
-  return events;
-}
-
-bool export_epoch_chrome(const EpochTiming& timing,
-                         const std::vector<std::string>& worker_names,
-                         const std::string& path) {
-  return obs::write_chrome_trace(
-      epoch_trace_events(timing, worker_names),
-      path, trace_track_names(timing.workers.size(), worker_names));
-}
-
-bool export_epochs_chrome(const std::vector<EpochTiming>& epochs,
-                          const std::vector<std::string>& worker_names,
-                          const std::string& path) {
-  std::vector<obs::TraceEvent> events;
-  std::size_t workers = 0;
-  double t0_us = 0.0;
-  for (const auto& epoch : epochs) {
-    auto one = epoch_trace_events(epoch, worker_names, t0_us);
-    events.insert(events.end(), std::make_move_iterator(one.begin()),
-                  std::make_move_iterator(one.end()));
-    workers = std::max(workers, epoch.workers.size());
-    t0_us += epoch.epoch_s * 1e6;
-  }
-  return obs::write_chrome_trace(events, path,
-                                 trace_track_names(workers, worker_names));
 }
 
 }  // namespace hcc::sim

@@ -1,13 +1,12 @@
 // Export of epoch timings to CSV (for plotting the Figure 5/8 timelines
-// and the Figure 7/9 series outside this repo) and to Chrome-trace JSON
-// (chrome://tracing) — fed by either simulated EpochTimings or the
-// measured records the instrumented runtime emits in the same shape.
+// and the Figure 7/9 series outside this repo) — fed by either simulated
+// EpochTimings or the measured records the instrumented runtime emits in
+// the same shape.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "obs/span.hpp"
 #include "sim/timing.hpp"
 
 namespace hcc::sim {
@@ -24,26 +23,5 @@ bool export_epoch_csv(const EpochTiming& timing,
 bool export_series_csv(const std::vector<std::string>& columns,
                        const std::vector<std::vector<double>>& rows,
                        const std::string& path);
-
-/// Reconstructs one epoch's timeline as Chrome-trace events: per worker a
-/// `pull` / `compute` / `push` slice chain on track w+1 and its server
-/// `sync` slice on track 0, offset by `t0_us`.  Durations come straight
-/// from the WorkerTiming phase totals; instants use finish_s / sync_end_s
-/// when the timing carries them and fall back to a contiguous
-/// pull->compute->push chain otherwise (hand-built or measured records).
-std::vector<obs::TraceEvent> epoch_trace_events(
-    const EpochTiming& timing, const std::vector<std::string>& worker_names,
-    double t0_us = 0.0);
-
-/// Writes one epoch as a Chrome-trace JSON document (chrome://tracing).
-bool export_epoch_chrome(const EpochTiming& timing,
-                         const std::vector<std::string>& worker_names,
-                         const std::string& path);
-
-/// Writes consecutive epochs into one trace, each offset by the cumulative
-/// epoch_s of its predecessors (Figure 5-style multi-epoch timeline).
-bool export_epochs_chrome(const std::vector<EpochTiming>& epochs,
-                          const std::vector<std::string>& worker_names,
-                          const std::string& path);
 
 }  // namespace hcc::sim

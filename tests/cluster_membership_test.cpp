@@ -32,20 +32,7 @@ TEST(Membership, TableTracksDeathsAndJoins) {
   table.mark_joined(1, 7);  // already active: no-op
   EXPECT_EQ(table.joins(), 1u);
 
-  const auto mask = table.active_mask();
-  ASSERT_EQ(mask.size(), 3u);
-  EXPECT_TRUE(mask[0] && mask[1] && mask[2]);
   EXPECT_NE(table.to_string().find("node1=active@e6"), std::string::npos);
-}
-
-TEST(Membership, JoinsDueReadsThePlan) {
-  const auto plan =
-      fault::FaultPlan::parse("kill:w1@e2;join:w1@e4;join:w2@e4;drop:w0@e4");
-  EXPECT_TRUE(MembershipTable::joins_due(plan, 3).empty());
-  const auto due = MembershipTable::joins_due(plan, 4);
-  ASSERT_EQ(due.size(), 2u);
-  EXPECT_EQ(due[0], 1u);
-  EXPECT_EQ(due[1], 2u);
 }
 
 struct SmallProblem {

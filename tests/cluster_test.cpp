@@ -5,6 +5,7 @@
 
 #include "cluster/hierarchical.hpp"
 #include "data/datasets.hpp"
+#include "mf/metrics.hpp"
 
 namespace hcc::cluster {
 namespace {
@@ -123,6 +124,28 @@ TEST(Hierarchical, FunctionalTrainingConverges) {
   ASSERT_EQ(report.test_rmse.size(), 8u);
   EXPECT_LT(report.test_rmse.back(), report.test_rmse.front());
   EXPECT_LT(report.test_rmse.back(), 1.1);
+}
+
+TEST(Hierarchical, LastTestRmseDescribesTheDeliveredModel) {
+  // Under a lossy codec the closing P roundtrip moves the model after the
+  // last epoch's evaluation, so the report must re-measure that entry.
+  const data::DatasetSpec spec = data::netflix_spec().scaled(0.002);
+  data::GeneratorConfig gen;
+  gen.seed = 5;
+  gen.planted_rank = 4;
+  const auto full = data::generate(spec, gen);
+  util::Rng rng(6);
+  const auto [train, test] = data::train_test_split(full, 0.1, rng);
+
+  HierarchicalConfig config = base_config(2);
+  config.sgd = mf::SgdConfig::for_dataset(0.02f, 0.01f, 16);
+  config.sgd.epochs = 4;
+  config.comm.codec = comm::CodecKind::kFp16;
+  config.dataset_name = spec.name;
+  const ClusterReport report = HierarchicalHcc(config).train(train, &test);
+  ASSERT_TRUE(report.model.has_value());
+  ASSERT_EQ(report.test_rmse.size(), 4u);
+  EXPECT_EQ(report.test_rmse.back(), mf::rmse(*report.model, test));
 }
 
 TEST(Hierarchical, HeterogeneousNodesGetProportionalShares) {

@@ -162,12 +162,12 @@ TEST(Pipeline, RowCountsStraddlingParallelThresholdStayExact) {
   }
 }
 
-TEST(Pipeline, DepthChangeBetweenEpochsForcesKeyframes) {
+TEST(Pipeline, ResetStateForcesKeyframes) {
   const std::size_t n = 3 * Fp16Codec::kParallelThreshold;
   ShmComm backend;
-  StreamPipeline pipe(int8_config(1), kK, StreamPipeline::Direction::kPush);
+  StreamPipeline pipe(int8_config(4), kK, StreamPipeline::Direction::kPush);
 
-  // Reach int8 steady state at depth 1: the transfer is now lossy.
+  // Reach int8 steady state: the transfer is now lossy.
   std::vector<float> dst(n, 0.0f);
   for (int round = 0; round < 3; ++round) {
     pipe.transfer(backend, evolving(n, round), dst);
@@ -177,27 +177,12 @@ TEST(Pipeline, DepthChangeBetweenEpochsForcesKeyframes) {
   EXPECT_NE(std::memcmp(dst.data(), steady.data(), n * sizeof(float)), 0)
       << "int8 steady state should quantize (test premise)";
 
-  // Deepening the window re-partitions codec state; the next transfer per
-  // chunk must be a lossless fp32 keyframe, not a decode against stale EF
-  // references.
-  pipe.set_depth(4);
+  // After reset_state() the next transfer per chunk must be a lossless fp32
+  // keyframe, not a decode against stale EF references.
+  pipe.reset_state();
   const std::vector<float> after = evolving(n, 4);
   pipe.transfer(backend, after, dst);
-  EXPECT_EQ(std::memcmp(dst.data(), after.data(), n * sizeof(float)), 0)
-      << "first transfer after a depth change must be a keyframe";
-
-  // And back down to 1: same contract crossing the other way.
-  pipe.set_depth(1);
-  const std::vector<float> shallow = evolving(n, 5);
-  pipe.transfer(backend, shallow, dst);
-  EXPECT_EQ(std::memcmp(dst.data(), shallow.data(), n * sizeof(float)), 0);
-
-  // reset_state() alone (no depth change) also forces keyframes.
-  pipe.transfer(backend, evolving(n, 6), dst);  // steady again
-  pipe.reset_state();
-  const std::vector<float> reset_round = evolving(n, 7);
-  pipe.transfer(backend, reset_round, dst);
-  EXPECT_EQ(std::memcmp(dst.data(), reset_round.data(), n * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(dst.data(), after.data(), n * sizeof(float)), 0);
 }
 
 TEST(Pipeline, ChecksumRetryResendsByteIdenticalWirePerChunk) {

@@ -1,4 +1,4 @@
-// Tests for the concurrent epoch executor: the barrier primitive itself
+// Tests for the epoch executor: the barrier primitive itself in both modes
 // (suite Executor) and end-to-end parallel-vs-serial training equivalence
 // including fault recovery under both modes (suite ParallelTrain).
 #include <gtest/gtest.h>
@@ -6,12 +6,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/epoch_executor.hpp"
 #include "core/hccmf.hpp"
+#include "core/server.hpp"
+#include "core/worker.hpp"
 #include "data/datasets.hpp"
+#include "data/grid.hpp"
 #include "fault/errors.hpp"
 #include "sim/platform.hpp"
 
@@ -55,6 +60,21 @@ TEST(Executor, RunParallelRunsExactlyTheAliveIndices) {
   EXPECT_EQ(hits[4].load(), 0);
 }
 
+TEST(Executor, SerialRunParallelRunsInlineInWorkerOrder) {
+  EpochExecutor exec(ExecOptions{}, 5);
+  const std::vector<bool> alive = {true, false, true, true, false};
+  const std::thread::id caller = std::this_thread::get_id();
+
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  exec.run_parallel(alive, [&](std::size_t i) {
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_on_caller) << "kSerial must start no thread";
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 3}));
+}
+
 TEST(Executor, BarrierIsReusableAcrossEpochs) {
   ExecOptions opts;
   opts.mode = ExecMode::kParallel;
@@ -69,70 +89,90 @@ TEST(Executor, BarrierIsReusableAcrossEpochs) {
   }
 }
 
-TEST(Executor, WorkerFaultOutranksDivergenceOutranksGeneric) {
+// The failure rule is the same in both modes: every alive worker runs, and
+// the highest-priority error is rethrown afterwards.
+constexpr ExecMode kBothModes[] = {ExecMode::kSerial, ExecMode::kParallel};
+
+ExecOptions options_for(ExecMode mode) {
   ExecOptions opts;
-  opts.mode = ExecMode::kParallel;
-  EpochExecutor exec(opts, 3);
-  const std::vector<bool> alive(3, true);
+  opts.mode = mode;
+  return opts;
+}
 
-  // Three workers fail in the same epoch with different error classes; the
-  // barrier must deterministically surface the WorkerFault so HccMf::train
-  // enters degraded-mode recovery, not the divergence rollback.
-  try {
-    exec.run_parallel(alive, [&](std::size_t i) {
-      if (i == 0) throw std::runtime_error("generic");
-      if (i == 1) throw fault::DivergenceError(1, /*epoch=*/0);
-      throw fault::WorkerKilledError(2, /*epoch=*/0);
-    });
-    FAIL() << "expected a WorkerFault";
-  } catch (const fault::WorkerFault& e) {
-    EXPECT_EQ(e.worker(), 2u);
-  }
+TEST(Executor, WorkerFaultOutranksDivergenceOutranksGeneric) {
+  for (const ExecMode mode : kBothModes) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    EpochExecutor exec(options_for(mode), 3);
+    const std::vector<bool> alive(3, true);
 
-  // Without a WorkerFault, divergence outranks the generic error.
-  try {
-    exec.run_parallel(alive, [&](std::size_t i) {
-      if (i == 0) throw std::runtime_error("generic");
-      if (i == 2) throw fault::DivergenceError(2, /*epoch=*/1);
-    });
-    FAIL() << "expected a DivergenceError";
-  } catch (const fault::DivergenceError& e) {
-    EXPECT_EQ(e.worker(), 2u);
+    // Three workers fail in the same epoch with different error classes;
+    // the barrier must deterministically surface the WorkerFault so
+    // HccMf::train enters degraded-mode recovery, not the divergence
+    // rollback.
+    std::atomic<int> ran{0};
+    try {
+      exec.run_parallel(alive, [&](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 0) throw std::runtime_error("generic");
+        if (i == 1) throw fault::DivergenceError(1, /*epoch=*/0);
+        throw fault::WorkerKilledError(2, /*epoch=*/0);
+      });
+      ADD_FAILURE() << "expected a WorkerFault";
+    } catch (const fault::WorkerFault& e) {
+      EXPECT_EQ(e.worker(), 2u);
+    }
+    // The first failure stopped no one.
+    EXPECT_EQ(ran.load(), 3);
+
+    // Without a WorkerFault, divergence outranks the generic error.
+    try {
+      exec.run_parallel(alive, [&](std::size_t i) {
+        if (i == 0) throw std::runtime_error("generic");
+        if (i == 2) throw fault::DivergenceError(2, /*epoch=*/1);
+      });
+      ADD_FAILURE() << "expected a DivergenceError";
+    } catch (const fault::DivergenceError& e) {
+      EXPECT_EQ(e.worker(), 2u);
+    }
   }
 }
 
 TEST(Executor, TiesBreakTowardTheLowestWorkerIndex) {
-  ExecOptions opts;
-  opts.mode = ExecMode::kParallel;
-  EpochExecutor exec(opts, 4);
-  const std::vector<bool> alive(4, true);
+  for (const ExecMode mode : kBothModes) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    EpochExecutor exec(options_for(mode), 4);
+    const std::vector<bool> alive(4, true);
 
-  try {
-    exec.run_parallel(alive, [&](std::size_t i) {
-      if (i == 1 || i == 3) {
-        throw fault::WorkerKilledError(static_cast<std::uint32_t>(i), 0);
-      }
-    });
-    FAIL() << "expected a WorkerFault";
-  } catch (const fault::WorkerFault& e) {
-    EXPECT_EQ(e.worker(), 1u);
+    try {
+      exec.run_parallel(alive, [&](std::size_t i) {
+        if (i == 1 || i == 3) {
+          throw fault::WorkerKilledError(static_cast<std::uint32_t>(i), 0);
+        }
+      });
+      ADD_FAILURE() << "expected a WorkerFault";
+    } catch (const fault::WorkerFault& e) {
+      EXPECT_EQ(e.worker(), 1u);
+    }
   }
 }
 
 TEST(Executor, StaysUsableAfterAnException) {
-  ExecOptions opts;
-  opts.mode = ExecMode::kParallel;
-  EpochExecutor exec(opts, 2);
-  const std::vector<bool> alive(2, true);
+  for (const ExecMode mode : kBothModes) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    EpochExecutor exec(options_for(mode), 2);
+    const std::vector<bool> alive(2, true);
 
-  EXPECT_THROW(exec.run_parallel(
-                   alive, [&](std::size_t) { throw std::runtime_error("x"); }),
-               std::runtime_error);
+    EXPECT_THROW(exec.run_parallel(alive,
+                                   [&](std::size_t) {
+                                     throw std::runtime_error("x");
+                                   }),
+                 std::runtime_error);
 
-  // The same recovery path HccMf::train takes: re-enter the barrier.
-  std::atomic<int> ran{0};
-  exec.run_parallel(alive, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
+    // The same recovery path HccMf::train takes: re-enter the barrier.
+    std::atomic<int> ran{0};
+    exec.run_parallel(alive, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 2);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -175,6 +215,83 @@ HccMfConfig quad_cpu_config(const data::DatasetSpec& spec) {
 TrainReport run(HccMfConfig config, const SmallProblem& pr) {
   HccMf framework(std::move(config));
   return framework.train(pr.train, &pr.test);
+}
+
+/// Two workers built the way a hand-driven replay builds them: a 60/40 row
+/// grid, the second worker chunked into 3 streams, per-item merge weights,
+/// and the server stripes kSerial resolves to.
+struct Rig {
+  std::unique_ptr<Server> server;
+  std::vector<TrainWorker> workers;
+};
+
+Rig serial_rig(const SmallProblem& pr) {
+  const comm::CommConfig comm;
+  const std::uint32_t items = pr.train.cols();
+  data::RatingMatrix matrix = pr.train;
+  const auto grid = data::make_grid(matrix, data::GridKind::kRow, {0.6, 0.4});
+  auto slices =
+      data::assign_slices(std::move(matrix), data::GridKind::kRow, grid);
+  util::Rng rng(7);
+  mf::FactorModel model(pr.train.rows(), items, /*k=*/16);
+  model.init_random(rng, 3.5f);
+  Rig rig;
+  rig.server = std::make_unique<Server>(
+      std::move(model), comm,
+      resolve_stripes(ExecOptions{}, items, slices.size()));
+  const std::uint32_t streams[] = {1, 3};
+  std::vector<std::size_t> totals(items, 0);
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    TrainWorker& w = rig.workers.emplace_back(
+        static_cast<std::uint32_t>(i), "cpu", std::move(slices[i]), comm,
+        streams[i]);
+    w.set_exec(/*parallel=*/false, /*double_buffer=*/true);
+    const auto counts = w.slice().col_counts();
+    for (std::size_t j = 0; j < items; ++j) totals[j] += counts[j];
+  }
+  for (TrainWorker& w : rig.workers) {
+    const auto counts = w.slice().col_counts();
+    std::vector<float> weights(items, 0.0f);
+    for (std::size_t j = 0; j < items; ++j) {
+      if (totals[j] > 0) {
+        weights[j] = static_cast<float>(counts[j]) /
+                     static_cast<float>(totals[j]);
+      }
+    }
+    w.set_item_weights(std::move(weights));
+  }
+  return rig;
+}
+
+TEST(SerialEpoch, IsEachWorkersWholePipelineInTurn) {
+  const SmallProblem pr = netflix_small();
+  Rig by_executor = serial_rig(pr);
+  Rig by_hand = serial_rig(pr);
+  ASSERT_EQ(by_executor.workers[1].streams(), 3u);
+
+  EpochExecutor exec(ExecOptions{}, by_executor.workers.size());
+  const std::vector<bool> alive(by_executor.workers.size(), true);
+  float lr = 0.01f;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    exec.run_epoch(by_executor.workers, alive, *by_executor.server, lr,
+                   0.02f, 0.02f, nullptr);
+    for (TrainWorker& w : by_hand.workers) {
+      w.prepare_epoch();
+      w.run_pipeline(*by_hand.server, lr, 0.02f, 0.02f, nullptr);
+    }
+    lr *= 0.9f;
+  }
+
+  const mf::FactorModel& a = by_executor.server->model();
+  const mf::FactorModel& b = by_hand.server->model();
+  ASSERT_EQ(a.q_data().size(), b.q_data().size());
+  ASSERT_EQ(a.p_data().size(), b.p_data().size());
+  for (std::size_t j = 0; j < a.q_data().size(); ++j) {
+    ASSERT_EQ(a.q_data()[j], b.q_data()[j]) << "Q index " << j;
+  }
+  for (std::size_t j = 0; j < a.p_data().size(); ++j) {
+    ASSERT_EQ(a.p_data()[j], b.p_data()[j]) << "P index " << j;
+  }
 }
 
 TEST(ParallelTrain, SerialModeIsDeterministic) {

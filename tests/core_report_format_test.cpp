@@ -58,20 +58,6 @@ TEST(FormatReport, ReportsRepartitions) {
             std::string::npos);
 }
 
-TEST(FormatEpochTable, StrideSubsamplesButKeepsLastEpoch) {
-  const std::string s = format_epoch_table(sample_report(true), 3);
-  EXPECT_NE(s.find("epoch"), std::string::npos);
-  // Rows 0 and 3 survive stride 3; row 3 is also the last.
-  EXPECT_NE(s.find("1.0000"), std::string::npos);
-  EXPECT_NE(s.find("0.7000"), std::string::npos);
-  EXPECT_EQ(s.find("0.9000"), std::string::npos);  // row 1 dropped
-}
-
-TEST(FormatEpochTable, DashesForUnevaluatedEpochs) {
-  const std::string s = format_epoch_table(sample_report(false));
-  EXPECT_NE(s.find("-"), std::string::npos);
-}
-
 // Every bench binary's --json-out document carries the schema version and
 // the locality configuration (schedule policy, tile budget, pinning) parsed
 // from the same argv, so BENCH_*.json files are comparable across runs.

@@ -27,12 +27,6 @@ RatingMatrix zipf_matrix(std::uint32_t rows, std::uint32_t cols,
   return m;
 }
 
-TEST(ChooseGrid, RowWhenTallerColumnWhenWider) {
-  EXPECT_EQ(choose_grid(RatingMatrix(10, 5)), GridKind::kRow);
-  EXPECT_EQ(choose_grid(RatingMatrix(5, 10)), GridKind::kColumn);
-  EXPECT_EQ(choose_grid(RatingMatrix(5, 5)), GridKind::kRow);
-}
-
 TEST(MakeGrid, RejectsBadFractions) {
   const RatingMatrix m = zipf_matrix(50, 20, 500, 1);
   EXPECT_THROW(make_grid(m, GridKind::kRow, {}), std::invalid_argument);

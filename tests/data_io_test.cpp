@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "data/datasets.hpp"
+#include "temp_path.hpp"
 
 namespace hcc::data {
 namespace {
@@ -16,7 +17,7 @@ class IoTest : public ::testing::Test {
   void TearDown() override {
     std::filesystem::remove(path_);
   }
-  std::string path_ = "/tmp/hccmf_io_test.dat";
+  std::string path_ = test_util::unique_temp_path(".dat");
 };
 
 RatingMatrix sample() {

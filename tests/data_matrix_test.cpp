@@ -65,16 +65,6 @@ TEST(RatingMatrix, SortByRowOrdersEntries) {
   }
 }
 
-TEST(RatingMatrix, SortByColOrdersEntries) {
-  RatingMatrix m = small_matrix();
-  m.sort_by_col();
-  const auto e = m.entries();
-  for (std::size_t i = 1; i < e.size(); ++i) {
-    EXPECT_TRUE(e[i - 1].i < e[i].i ||
-                (e[i - 1].i == e[i].i && e[i - 1].u <= e[i].u));
-  }
-}
-
 TEST(RatingMatrix, ShufflePreservesMultiset) {
   RatingMatrix m = small_matrix();
   util::Rng rng(1);

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_path.hpp"
+
 namespace hcc::data {
 namespace {
 
@@ -16,7 +18,7 @@ class MovieLensTest : public ::testing::Test {
     std::ofstream out(path_);
     out << content;
   }
-  std::string path_ = "/tmp/hccmf_ml_test.csv";
+  std::string path_ = test_util::unique_temp_path(".csv");
 };
 
 TEST_F(MovieLensTest, ParsesHeaderAndDensifiesIds) {
@@ -70,7 +72,7 @@ TEST_F(MovieLensTest, SaveLoadRoundTrip) {
       "20,200,0.5,2\n"
       "10,200,3.0,3\n");
   const MovieLensData ml = load_movielens_csv(path_);
-  const std::string out_path = "/tmp/hccmf_ml_roundtrip.csv";
+  const std::string out_path = test_util::unique_temp_path(".out.csv");
   ASSERT_TRUE(
       save_movielens_csv(ml.ratings, ml.user_ids, ml.item_ids, out_path));
   const MovieLensData again = load_movielens_csv(out_path);

@@ -7,7 +7,6 @@
 
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
-#include "sim/trace_export.hpp"
 
 namespace hcc::obs {
 namespace {
@@ -153,76 +152,6 @@ TEST(ChromeTraceTest, WriteToDiskAndParseBack) {
   EXPECT_EQ(parsed->track_names.at(1), "worker 0");
   std::filesystem::remove(path);
   EXPECT_FALSE(write_chrome_trace(rec, "/nonexistent_dir/x.json"));
-}
-
-TEST(ChromeTraceTest, EpochTimingExportsPhaseSlices) {
-  sim::EpochTiming timing;
-  timing.workers.resize(2);
-  timing.workers[0].pull_s = 0.001;
-  timing.workers[0].compute_s = 0.040;
-  timing.workers[0].push_s = 0.002;
-  timing.workers[0].sync_s = 0.003;
-  timing.workers[0].finish_s = 0.043;
-  timing.workers[0].sync_end_s = 0.046;
-  timing.workers[1].compute_s = 0.050;
-  timing.epoch_s = 0.05;
-
-  const std::string path = "/tmp/hccmf_obs_epoch_trace.json";
-  ASSERT_TRUE(sim::export_epoch_chrome(timing, {"2080S", "6242"}, path));
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  std::filesystem::remove(path);
-
-  const auto parsed = parse_chrome_trace(contents);
-  ASSERT_TRUE(parsed.has_value());
-  // Worker 0: pull+compute+push+sync; worker 1: compute only.
-  ASSERT_EQ(parsed->events.size(), 5u);
-  int pulls = 0, computes = 0, pushes = 0, syncs = 0;
-  for (const auto& ev : parsed->events) {
-    if (ev.name == "pull") {
-      ++pulls;
-      EXPECT_EQ(ev.track, 1u);
-      EXPECT_DOUBLE_EQ(ev.ts_us, 0.0);
-      EXPECT_NEAR(ev.dur_us, 1000.0, 1e-6);
-    } else if (ev.name == "compute") {
-      ++computes;
-    } else if (ev.name == "push") {
-      ++pushes;
-      EXPECT_NEAR(ev.ts_us, 41000.0, 1e-6);  // finish_s - push_s
-    } else if (ev.name == "sync") {
-      ++syncs;
-      EXPECT_EQ(ev.track, 0u);  // server track
-      EXPECT_NEAR(ev.ts_us, 43000.0, 1e-6);  // sync_end_s - sync_s
-    }
-  }
-  EXPECT_EQ(pulls, 1);
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(pushes, 1);
-  EXPECT_EQ(syncs, 1);
-  EXPECT_EQ(parsed->track_names.at(1), "worker 0 (2080S)");
-  EXPECT_EQ(parsed->track_names.at(2), "worker 1 (6242)");
-}
-
-TEST(ChromeTraceTest, MultiEpochExportOffsetsLaterEpochs) {
-  sim::EpochTiming e1;
-  e1.workers.resize(1);
-  e1.workers[0].compute_s = 0.010;
-  e1.epoch_s = 0.010;
-  sim::EpochTiming e2 = e1;
-
-  const std::string path = "/tmp/hccmf_obs_epochs_trace.json";
-  ASSERT_TRUE(sim::export_epochs_chrome({e1, e2}, {"cpu"}, path));
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  std::filesystem::remove(path);
-
-  const auto parsed = parse_chrome_trace(contents);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->events.size(), 2u);
-  EXPECT_NEAR(parsed->events[0].ts_us + e1.epoch_s * 1e6,
-              parsed->events[1].ts_us, 1e-6);
 }
 
 }  // namespace

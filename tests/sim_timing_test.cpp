@@ -206,17 +206,6 @@ TEST(Timing, JitterIsDeterministicPerSeed) {
   EXPECT_NE(a.epoch_s, c.epoch_s);
 }
 
-TEST(Timing, MultiEpochAccumulates) {
-  EpochConfig cfg = two_worker_config();
-  cfg.jitter = 0.0;
-  const EpochTiming one = simulate_epoch(cfg);
-  const EpochTiming twenty = simulate_epochs(cfg, 20);
-  EXPECT_NEAR(twenty.epoch_s, 20.0 * one.epoch_s, 1e-9);
-  EXPECT_NEAR(twenty.workers[0].compute_s, 20.0 * one.workers[0].compute_s,
-              1e-9);
-  EXPECT_NEAR(twenty.server_busy_s, 20.0 * one.server_busy_s, 1e-9);
-}
-
 TEST(Timing, FasterBusShortensPullTime) {
   EpochConfig cfg = two_worker_config();
   cfg.jitter = 0.0;

@@ -7,13 +7,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_path.hpp"
+
 namespace hcc::sim {
 namespace {
 
 class TraceExportTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_ = "/tmp/hccmf_trace_test.csv";
+  std::string path_ = test_util::unique_temp_path(".csv");
 
   static std::vector<std::string> read_lines(const std::string& path) {
     std::ifstream in(path);
